@@ -23,6 +23,7 @@ from .fitting import (
     FitReport,
     ModelSelection,
     TraceSample,
+    TraceSamples,
     aggregate,
     fit_linear,
     fit_nroot,
@@ -82,6 +83,7 @@ __all__ = [
     "SignInterval",
     "TraceFile",
     "TraceSample",
+    "TraceSamples",
     "Vnf",
     "aggregate",
     "best_machine",

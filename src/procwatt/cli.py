@@ -18,6 +18,8 @@ import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from . import analysis, fitting, placement, profiles, simulate, traceio
 from .errors import (
     ConfigError,
@@ -261,10 +263,9 @@ def cmd_simulate(args) -> CommandOutcome:
 
 
 def cmd_energy(args) -> CommandOutcome:
-    trace = _read_trace(args)
-    pairs = [(s.t, s.power) for s in trace.samples]
-    joules = profiles.integrate_energy(pairs)
-    duration = pairs[-1][0] - pairs[0][0]
+    samples = _read_trace(args).samples
+    joules = profiles.integrate_energy(np.column_stack((samples.t, samples.power)))
+    duration = float(samples.t[-1] - samples.t[0])
     mean_watts = joules / duration
     doc = {"energy_joules": joules, "mean_power_w": mean_watts}
     csv_text = f"energy_joules,mean_power_w\n{joules!r},{mean_watts!r}\n"

@@ -11,11 +11,13 @@ Student-t test.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Iterable, Optional, Tuple
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import (
     DegenerateDesignError,
@@ -60,6 +62,91 @@ class TraceSample:
             raise InputError(f"power must be >= 0, got {self.power}")
 
 
+def _validated_sample(t, competition, power):
+    """A TraceSample built from values already validated as columns."""
+    sample = object.__new__(TraceSample)
+    sample.__dict__.update(t=t, competition=competition, power=power)
+    return sample
+
+
+class TraceSamples(Sequence):
+    """An immutable, validated trace held as three float64 columns.
+
+    ``t``, ``competition`` and ``power`` are read-only arrays of equal length;
+    every row satisfies the TraceSample contract.  The object is a sequence of
+    TraceSample: ``len`` is O(1), indexing and iteration yield TraceSample
+    objects, and it compares equal to another TraceSamples with the same
+    columns or to a list or tuple of equal samples.
+
+    Build one from arrays with ``TraceSamples(t, competition, power)``, or
+    from any iterable of samples with ``TraceSamples.of(samples)``.
+    """
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, t, competition, power):
+        columns = tuple(np.array(col, dtype=np.float64) for col in (t, competition, power))
+        if any(col.ndim != 1 for col in columns) or len({col.size for col in columns}) > 1:
+            raise InputError(
+                "t, competition and power must be one-dimensional and of equal length, "
+                f"got shapes {[col.shape for col in columns]}"
+            )
+        t, competition, power = columns
+        bad = ~(
+            np.isfinite(t)
+            & np.isfinite(power)
+            & (competition >= 0.0)
+            & (competition <= 100.0)
+            & (power >= 0.0)
+        )
+        if bad.any():
+            i = int(np.argmax(bad))
+            try:
+                TraceSample(t[i].item(), competition[i].item(), power[i].item())
+            except InputError as exc:
+                raise InputError(f"sample {i}: {exc}") from None
+        for col in columns:
+            col.flags.writeable = False
+        self._columns = columns
+
+    @classmethod
+    def of(cls, samples: Iterable[TraceSample]) -> "TraceSamples":
+        """The columns of any iterable of samples; a TraceSamples is returned as is."""
+        if isinstance(samples, cls):
+            return samples
+        samples = list(samples)
+        return cls(
+            [s.t for s in samples],
+            [s.competition for s in samples],
+            [s.power for s in samples],
+        )
+
+    t = property(lambda self: self._columns[0], doc="Timestamps in seconds.")
+    competition = property(lambda self: self._columns[1], doc="Competition in percent.")
+    power = property(lambda self: self._columns[2], doc="Power in watts.")
+
+    def __len__(self) -> int:
+        return self._columns[0].size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return TraceSamples(*(col[index] for col in self._columns))
+        return _validated_sample(*(col[index].item() for col in self._columns))
+
+    def __iter__(self):
+        return map(_validated_sample, *(col.tolist() for col in self._columns))
+
+    def __eq__(self, other):
+        if isinstance(other, TraceSamples):
+            return all(map(np.array_equal, self._columns, other._columns))
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"TraceSamples(<{len(self)} samples>)"
+
+
 @dataclass(frozen=True)
 class AggregatedPoint:
     """Per-bin summary of samples sharing a competition bin.
@@ -83,38 +170,50 @@ def aggregate(samples: Iterable[TraceSample], bin_width: float = DEFAULT_BIN_WID
     sorted before reduction so the output is identical for any permutation of
     the input.  Returns a list of AggregatedPoint sorted by competition.
     """
-    if bin_width <= 0:
+    if not bin_width > 0:
         raise InputError(f"bin_width must be > 0, got {bin_width}")
-    samples = list(samples)
-    if not samples:
+    columns = TraceSamples.of(samples)
+    if not len(columns):
         raise InsufficientDataError("no samples to aggregate")
-    bins: dict[int, list[TraceSample]] = {}
-    for s in samples:
-        bins.setdefault(int(math.floor(s.competition / bin_width)), []).append(s)
+    keys = np.floor(columns.competition / bin_width)
+    # each bin is one contiguous slice, its competitions and powers each sorted
+    by_competition = np.lexsort((columns.competition, keys))
+    comps = columns.competition[by_competition]
+    powers = columns.power[np.lexsort((columns.power, keys))]
+    keys = keys[by_competition]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]).tolist()
     points = []
-    for _, members in sorted(bins.items()):
-        comps = np.sort(np.array([m.competition for m in members]))
-        powers = np.sort(np.array([m.power for m in members]))
+    for lo, hi in zip(starts, starts[1:] + [keys.size]):
+        members = powers[lo:hi]
         points.append(
             AggregatedPoint(
-                competition=float(np.mean(comps)),
-                power=float(np.median(powers)),
-                count=len(members),
-                dispersion=float(np.std(powers)),
+                competition=float(np.mean(comps[lo:hi])),
+                power=float(np.median(members)),
+                count=hi - lo,
+                dispersion=float(np.std(members)),
             )
         )
     return points
 
 
 def points_from_samples(samples: Iterable[TraceSample]):
-    """One unit-weight point per raw sample, for fitting without binning."""
-    samples = list(samples)
-    if not samples:
+    """One unit-weight point per raw sample, for fitting without binning.
+
+    Points are ordered by (competition, power, t).
+    """
+    columns = TraceSamples.of(samples)
+    if not len(columns):
         raise InsufficientDataError("no samples")
-    return [
-        AggregatedPoint(competition=s.competition, power=s.power, count=1, dispersion=0.0)
-        for s in sorted(samples, key=lambda s: (s.competition, s.power, s.t))
-    ]
+    order = np.lexsort((columns.t, columns.power, columns.competition))
+    return list(
+        map(
+            AggregatedPoint,
+            columns.competition[order].tolist(),
+            columns.power[order].tolist(),
+            repeat(1),
+            repeat(0.0),
+        )
+    )
 
 
 @dataclass(frozen=True)
@@ -240,6 +339,9 @@ def two_sided_p_value(t: float, df: int) -> float:
         raise DegenerateStatisticsError(f"degrees of freedom must be >= 1, got {df}")
     if t == 0.0:
         return 1.0
+    # imported here so that importing procwatt does not load scipy
+    from scipy.special import betainc
+
     x = df / (df + t * t)
     return float(betainc(df / 2.0, 0.5, x))
 

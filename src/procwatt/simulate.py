@@ -15,16 +15,18 @@ generated independently without changing the output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError
-from .fitting import TraceSample
+from .fitting import TraceSamples
 from .profiles import PowerProfile, evaluate
 from .traceio import TraceFile
 
 _U64 = 0xFFFFFFFFFFFFFFFF
+_INTEGER_FIELDS = ("seed", "cycles")
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,18 @@ class ProtocolConfig:
     cycles: int = 8
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{f.name} must be a number, got {value!r}")
+            if isinstance(value, numbers.Integral):
+                continue
+            if f.name in _INTEGER_FIELDS:
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            if not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         q = self.baseline_load_q
-        if not (isinstance(q, (int, float)) and math.isfinite(q) and 0.0 < q < 100.0):
+        if not 0.0 < q < 100.0:
             raise ConfigError(f"baseline_load_q must lie in (0, 100), got {q!r}")
         if self.noise_sigma < 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
@@ -97,24 +109,18 @@ def generate_trace(config: ProtocolConfig, truth: PowerProfile) -> TraceFile:
     """
     levels = competition_levels(config)
     per_level = samples_per_level(config)
-    interval = config.sample_interval_seconds
+    cycle_size = levels.size * per_level
 
     level_power = np.array([evaluate(truth, float(lv)) for lv in levels])
-    samples = []
-    index = 0
-    for cycle in range(config.cycles):
-        if config.noise_sigma > 0:
-            noise = _cycle_rng(config.seed, cycle).normal(
-                0.0, config.noise_sigma, size=(levels.size, per_level)
-            )
-            powers = np.maximum(level_power[:, None] + noise, 0.0)
-        else:
-            powers = np.broadcast_to(level_power[:, None], (levels.size, per_level))
-        for li, level in enumerate(levels):
-            row = powers[li]
-            for j in range(per_level):
-                samples.append(
-                    TraceSample(t=index * interval, competition=float(level), power=float(row[j]))
-                )
-                index += 1
-    return TraceFile(samples=samples, machine_label="synthetic")
+    t = np.arange(config.cycles * cycle_size, dtype=np.float64) * config.sample_interval_seconds
+    competition = np.tile(np.repeat(levels, per_level), config.cycles)
+    power = np.tile(np.repeat(level_power, per_level), config.cycles)
+    if config.noise_sigma > 0:
+        noise = np.concatenate(
+            [
+                _cycle_rng(config.seed, cycle).normal(0.0, config.noise_sigma, size=cycle_size)
+                for cycle in range(config.cycles)
+            ]
+        )
+        power = np.maximum(power + noise, 0.0)
+    return TraceFile(samples=TraceSamples(t, competition, power), machine_label="synthetic")

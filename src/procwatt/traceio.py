@@ -14,30 +14,41 @@ the file, which switches header matching from positional to by-name.
 
 from __future__ import annotations
 
-import io
 import math
 import os
-from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, TextIO, Union
+from dataclasses import dataclass
+from itertools import repeat
+from typing import Mapping, Optional, Sequence, TextIO, Union
+
+import numpy as np
 
 from .errors import (
+    InputError,
     ProcwattError,
     TraceFormatError,
     TraceParseError,
     TraceValidationError,
 )
-from .fitting import TraceSample
+from .fitting import TraceSample, TraceSamples
 
 CANONICAL_COLUMNS = ("timestamp_s", "competition_pct", "power_w")
 
 
 @dataclass
 class TraceFile:
-    """A parsed trace plus the little metadata the toolkit carries around."""
+    """A parsed trace plus the little metadata the toolkit carries around.
 
-    samples: List[TraceSample] = field(default_factory=list)
+    ``samples`` may be given as any iterable of TraceSample and is stored as
+    a TraceSamples, whose ``t``, ``competition`` and ``power`` arrays hold
+    the trace column by column.
+    """
+
+    samples: Sequence[TraceSample] = ()
     machine_label: str = ""
     core_count: Optional[int] = None
+
+    def __post_init__(self):
+        self.samples = TraceSamples.of(self.samples)
 
 
 def _open_source(source) -> tuple[TextIO, bool]:
@@ -123,9 +134,53 @@ def _read_stream(stream, columns, machine_label, core_count) -> TraceFile:
             indices[name] = header.index(actual)
 
     width = len(header)
-    samples: List[TraceSample] = []
+    lines = stream.readlines()
+    samples = _parse_bulk(lines, width, indices)
+    if samples is None:
+        samples = _parse_lines(lines, width, indices)
+    return TraceFile(samples=samples, machine_label=machine_label, core_count=core_count)
+
+
+def _parse_bulk(lines, width, indices) -> Optional[TraceSamples]:
+    """Parse every row at once, or return None if any row is irregular.
+
+    Irregular means anything the line-by-line parser might reject or treat
+    specially: a carriage return, a blank line, a wrong field count, an
+    underscore or unparsable text in a used field, a value that breaks the
+    sample contract, or a decreasing timestamp.  That parser then runs and
+    reports the exact line and column.
+    """
+    if list(map(str.count, lines, repeat(","))).count(width - 1) != len(lines):
+        return None
+    body = "".join(lines)
+    if "\r" in body:
+        return None
+    # each line holds width fields and at most one (trailing) newline
+    fields = body.replace("\n", ",").split(",")
+    size = len(lines) * width
+    columns = [fields[indices[name] : size : width] for name in CANONICAL_COLUMNS]
+    if "_" in body and any("_" in ",".join(column) for column in columns):
+        return None
+    try:
+        t, competition, power = (
+            np.fromiter(map(float, column), dtype=np.float64, count=len(lines))
+            for column in columns
+        )
+    except ValueError:
+        return None
+    if np.any(t[1:] < t[:-1]):
+        return None
+    try:
+        return TraceSamples(t, competition, power)
+    except InputError:
+        return None
+
+
+def _parse_lines(lines, width, indices) -> list:
+    """Parse row by row, raising at the first bad row with its line and column."""
+    samples = []
     last_t = None
-    for line_no, raw_line in enumerate(stream, start=2):
+    for line_no, raw_line in enumerate(lines, start=2):
         line = raw_line.rstrip("\r\n")
         if not line.strip():
             continue
@@ -149,7 +204,7 @@ def _read_stream(stream, columns, machine_label, core_count) -> TraceFile:
             )
         last_t = sample.t
         samples.append(sample)
-    return TraceFile(samples=samples, machine_label=machine_label, core_count=core_count)
+    return samples
 
 
 def write_trace(trace: TraceFile, sink: Union[str, os.PathLike, TextIO]) -> None:
@@ -158,20 +213,15 @@ def write_trace(trace: TraceFile, sink: Union[str, os.PathLike, TextIO]) -> None
     Floats are rendered with repr, the shortest digits that parse back to the
     identical double, so a write/read cycle is the identity.
     """
+    text = trace_to_string(trace)
     if isinstance(sink, (str, os.PathLike)):
         with open(sink, "w", encoding="utf-8", newline="") as stream:
-            _write_stream(trace, stream)
+            stream.write(text)
     else:
-        _write_stream(trace, sink)
-
-
-def _write_stream(trace: TraceFile, stream) -> None:
-    stream.write(",".join(CANONICAL_COLUMNS) + "\n")
-    for s in trace.samples:
-        stream.write(f"{s.t!r},{s.competition!r},{s.power!r}\n")
+        sink.write(text)
 
 
 def trace_to_string(trace: TraceFile) -> str:
-    buf = io.StringIO()
-    _write_stream(trace, buf)
-    return buf.getvalue()
+    samples = TraceSamples.of(trace.samples)
+    columns = [map(repr, col.tolist()) for col in (samples.t, samples.competition, samples.power)]
+    return "\n".join([",".join(CANONICAL_COLUMNS), *map(",".join, zip(*columns))]) + "\n"

@@ -86,6 +86,13 @@ class TestSimulate:
         assert main(["simulate", str(workdir / "linear.json"),
                      "--config", str(workdir / "config.json")]) == 2
 
+    @pytest.mark.parametrize("field, value", [("cycles", 1.5), ("seed", 1.5), ("step_pct", "5")])
+    def test_wrongly_typed_config_field_exits_2(self, workdir, field, value):
+        config = {"baseline_load_q": 5, "noise_sigma": 0.3, field: value}
+        (workdir / "config.json").write_text(json.dumps(config))
+        assert main(["simulate", str(workdir / "linear.json"),
+                     "--config", str(workdir / "config.json")]) == 2
+
 
 class TestFit:
     def test_linear_trace_chooses_linear(self, workdir):
@@ -246,6 +253,10 @@ class TestEnergy:
     def test_single_sample_exit_3(self, workdir):
         (workdir / "one.csv").write_text("timestamp_s,competition_pct,power_w\n0.0,0,10.0\n")
         assert main(["energy", str(workdir / "one.csv")]) == 3
+
+    def test_header_only_trace_exit_3(self, workdir):
+        (workdir / "empty.csv").write_text("timestamp_s,competition_pct,power_w\n")
+        assert main(["energy", str(workdir / "empty.csv")]) == 3
 
     def test_csv_format(self, workdir, capsys):
         lines = ["timestamp_s,competition_pct,power_w", "0,0,10.0", "10,0,10.0"]

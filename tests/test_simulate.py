@@ -36,6 +36,19 @@ class TestConfig:
             {"baseline_load_q": 5.0, "sample_interval_seconds": 0.0},
             {"baseline_load_q": 5.0, "dwell_seconds": 1.0, "sample_interval_seconds": 5.0},
             {"baseline_load_q": 5.0, "start_pct": 96.0},
+            {"baseline_load_q": 5.0, "noise_sigma": float("nan")},
+            {"baseline_load_q": 5.0, "step_pct": float("nan")},
+            {"baseline_load_q": 5.0, "start_pct": float("nan")},
+            {"baseline_load_q": 5.0, "dwell_seconds": float("inf")},
+            {"baseline_load_q": 5.0, "sample_interval_seconds": float("nan")},
+            {"baseline_load_q": 5.0, "noise_sigma": "0.3"},
+            {"baseline_load_q": True},
+            {"baseline_load_q": 5.0, "cycles": 1.5},
+            {"baseline_load_q": 5.0, "cycles": True},
+            {"baseline_load_q": 5.0, "cycles": 8.0},
+            {"baseline_load_q": 5.0, "seed": 1.5},
+            {"baseline_load_q": 5.0, "seed": 1.5, "noise_sigma": 0.3},
+            {"baseline_load_q": 5.0, "seed": False},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

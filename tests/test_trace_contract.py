@@ -1,0 +1,370 @@
+"""The trace contract shared by simulate, traceio and fitting.
+
+Pinned digests fix the exact CSV bytes and fit reports for fixed seeds; the
+reference functions below are the object-per-sample implementations the
+columnar code replaced, kept to check it against.
+"""
+
+import hashlib
+import io
+import json
+import math
+import re
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from procwatt import (
+    AggregatedPoint,
+    LinearProfile,
+    NRootProfile,
+    ProtocolConfig,
+    TraceFile,
+    TraceSample,
+    TraceSamples,
+    aggregate,
+    competition_levels,
+    evaluate,
+    fit_linear,
+    fit_nroot,
+    generate_trace,
+    integrate_energy,
+    points_from_samples,
+    read_trace,
+    samples_per_level,
+    select_model,
+    selection_to_dict,
+    trace_to_string,
+    traceio,
+)
+from procwatt.errors import InputError, ProcwattError
+from procwatt.simulate import _cycle_rng
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+HEADER = "timestamp_s,competition_pct,power_w"
+CONTRACT = settings(max_examples=150, deadline=None)
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# (config, truth, sha256 of the trace CSV, of the binned and of the raw fit
+# report as `procwatt fit` prints it, energy in joules)
+PINNED = {
+    "linear_noisy": (
+        ProtocolConfig(baseline_load_q=5.0, noise_sigma=0.3, seed=42, cycles=2),
+        LinearProfile(9.75, 0.055),
+        "e05d6fcfd510ee9e7a8de0afb7c9d94deffe0d1b596c12b029047cc30ea1c52f",
+        "9c8959e38bffa86db7e8f70a18b453759dd1ef9c2e57b3cb49dfeb571f3af27c",
+        "5ce55347e788769b01068fe12b6e2a476b1f294c344eb41b050023de4ebdffdb",
+        178027.64919066007,
+    ),
+    "linear_noiseless": (
+        ProtocolConfig(baseline_load_q=5.0, cycles=2),
+        LinearProfile(9.75, 0.055),
+        "492c74fd966059a2a56d7575406d38868e1339fe16d471e4cee2259d5f0566ff",
+        "2f749e09488694da694b03a9f9b867c7ac8a41af3221548af3b6d9362977cc66",
+        "def779e6d262aa37b15f81422cbfd0d062e5ed032d2f3db2513f7c93432b77bc",
+        177958.1875,
+    ),
+    "nroot_noisy": (
+        ProtocolConfig(
+            baseline_load_q=13.0, noise_sigma=4.0, seed=7, cycles=3, step_pct=4.0, start_pct=1.0
+        ),
+        NRootProfile(7.0, 1.5, 3),
+        "f16d4e0c9f647f8784f2c8e63300efe83ac58e9b5b45495b33d29b143fd54d67",
+        "9493f50e24d9814a081fa76640736f6344862cde9a7701e519735adb0e45b6bf",
+        "bbdd2c80a5eba5d43dc5f2b2a79a45865b18f8f4ed947f5a90fb2bbaa0e6cff4",
+        281315.63281249977,
+    ),
+    "nroot_noiseless": (
+        ProtocolConfig(baseline_load_q=50.0, cycles=1),
+        NRootProfile(7.0, 1.5, 3),
+        "cb4cc59bb6ee705976636cfbd88d88101dd7091ba3e5b691849d7d78b2c43c62",
+        "9ee1d96079d4ca476a081badcfa06760b8d25cc2cc464e484103167c318f093c",
+        "94e2c7877597f5d3acbe63f7327debfe07beb16a709b83e553171732ae523e75",
+        43335.63101425558,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_pinned_outputs_are_bit_identical(name):
+    config, truth, trace_sha, binned_sha, raw_sha, energy = PINNED[name]
+    text = trace_to_string(generate_trace(config, truth))
+    assert sha256(text) == trace_sha
+    samples = read_trace(io.StringIO(text)).samples
+    for points, expected in ((aggregate(samples), binned_sha), (points_from_samples(samples), raw_sha)):
+        selection = select_model(fit_linear(points), fit_nroot(points))
+        assert sha256(json.dumps(selection_to_dict(selection), indent=2)) == expected
+    assert integrate_energy(np.column_stack((samples.t, samples.power))) == energy
+
+
+# --- reference implementations: one Python object per sample ---------------
+
+
+def reference_generate(config, truth):
+    levels = competition_levels(config)
+    per_level = samples_per_level(config)
+    level_power = np.array([evaluate(truth, float(lv)) for lv in levels])
+    samples = []
+    index = 0
+    for cycle in range(config.cycles):
+        if config.noise_sigma > 0:
+            noise = _cycle_rng(config.seed, cycle).normal(
+                0.0, config.noise_sigma, size=(levels.size, per_level)
+            )
+            powers = np.maximum(level_power[:, None] + noise, 0.0)
+        else:
+            powers = np.broadcast_to(level_power[:, None], (levels.size, per_level))
+        for li, level in enumerate(levels):
+            for j in range(per_level):
+                samples.append(
+                    TraceSample(
+                        t=index * config.sample_interval_seconds,
+                        competition=float(level),
+                        power=float(powers[li][j]),
+                    )
+                )
+                index += 1
+    return samples
+
+
+def reference_csv(samples):
+    return HEADER + "\n" + "".join(f"{s.t!r},{s.competition!r},{s.power!r}\n" for s in samples)
+
+
+def reference_aggregate(samples, bin_width):
+    bins = {}
+    for s in samples:
+        bins.setdefault(int(math.floor(s.competition / bin_width)), []).append(s)
+    points = []
+    for _, members in sorted(bins.items()):
+        comps = np.sort(np.array([m.competition for m in members]))
+        powers = np.sort(np.array([m.power for m in members]))
+        points.append(
+            AggregatedPoint(
+                competition=float(np.mean(comps)),
+                power=float(np.median(powers)),
+                count=len(members),
+                dispersion=float(np.std(powers)),
+            )
+        )
+    return points
+
+
+def reference_points(samples):
+    return [
+        AggregatedPoint(competition=s.competition, power=s.power, count=1, dispersion=0.0)
+        for s in sorted(samples, key=lambda s: (s.competition, s.power, s.t))
+    ]
+
+
+# --- strategies -------------------------------------------------------------
+
+# shortest-repr boundaries (1e-5 and 1e16 switch to exponent notation), signed
+# zero and subnormals
+SPECIAL = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 9.999999999999999e-06,
+           1e16, 9999999999999998.0, 0.1, 1.0 / 3.0]
+finite = st.floats(allow_nan=False, allow_infinity=False)
+competitions = st.one_of(
+    st.sampled_from([x for x in SPECIAL if 0.0 <= x <= 100.0] + [100.0, 95.0, 5.0]),
+    st.floats(min_value=0.0, max_value=100.0),
+)
+powers = st.one_of(st.sampled_from(SPECIAL), st.floats(min_value=0.0, allow_infinity=False))
+
+
+@st.composite
+def columns(draw, max_size=25):
+    n = draw(st.integers(min_value=0, max_value=max_size))
+    t = sorted(draw(st.lists(st.one_of(st.sampled_from(SPECIAL), finite), min_size=n, max_size=n)))
+    comp = draw(st.lists(competitions, min_size=n, max_size=n))
+    power = draw(st.lists(powers, min_size=n, max_size=n))
+    return t, comp, power
+
+
+@st.composite
+def configs(draw):
+    q = draw(st.floats(min_value=1.0, max_value=99.0))
+    interval = draw(st.sampled_from([0.5, 1.0, 5.0, 0.1]))
+    return ProtocolConfig(
+        baseline_load_q=q,
+        noise_sigma=draw(st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=20.0))),
+        seed=draw(st.integers(min_value=-(2**70), max_value=2**70)),
+        start_pct=draw(st.floats(min_value=0.0, max_value=1.0)) * (100.0 - q),
+        step_pct=draw(st.floats(min_value=2.0, max_value=60.0)),
+        sample_interval_seconds=interval,
+        dwell_seconds=interval * draw(st.integers(min_value=1, max_value=4)),
+        cycles=draw(st.integers(min_value=1, max_value=3)),
+    )
+
+
+# non-negative on [0, 100], so noiseless traces satisfy the sample contract
+truths = st.one_of(
+    st.builds(LinearProfile, st.floats(0.0, 20.0), st.floats(0.0, 0.5)),
+    st.builds(NRootProfile, st.floats(0.0, 20.0), st.floats(0.0, 3.0), st.integers(2, 8)),
+)
+
+
+# --- properties -------------------------------------------------------------
+
+
+@CONTRACT
+@given(configs(), truths)
+def test_generate_trace_matches_per_sample_reference(config, truth):
+    trace = generate_trace(config, truth)
+    reference = reference_generate(config, truth)
+    assert trace.samples == reference
+    assert trace_to_string(trace) == reference_csv(reference)
+
+
+def column_bytes(samples):
+    return [col.tobytes() for col in (samples.t, samples.competition, samples.power)]
+
+
+@CONTRACT
+@given(columns())
+def test_write_then_read_is_the_identity(cols):
+    samples = TraceSamples(*cols)
+    text = trace_to_string(TraceFile(samples=samples))
+    assert text == reference_csv(samples)
+    again = read_trace(io.StringIO(text)).samples
+    assert column_bytes(again) == column_bytes(samples)  # bitwise: keeps -0.0
+
+
+TOKENS = ["1_0", "nan", "inf", "-inf", "", " ", "abc", "0x10", "1e400", "-1", "150",
+          " 5 ", "1e-5", "-0.0", "5e-324", "١٢"]
+REMAP_HEADER = "node,watts,timestamp_s,cpu"
+REMAP = {"power_w": "watts", "competition_pct": "cpu"}
+
+
+@st.composite
+def malformed_traces(draw):
+    """A small valid trace with a few corruptions; returns (text, columns)."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    t = np.cumsum(draw(st.lists(st.sampled_from([0.0, 0.5, 5.0]), min_size=n, max_size=n)))
+    rows = [[repr(float(x)), repr(draw(competitions)), repr(draw(powers))] for x in t]
+    remap = draw(st.booleans())
+    t_column = 2 if remap else 0
+    if remap:
+        node = st.sampled_from(["w1", "w_1", "nan", "", "a b"])
+        rows = [[draw(node), r[2], r[0], r[1]] for r in rows]
+    lines = [",".join(r) for r in rows]
+    for kind in draw(st.lists(st.sampled_from(["blank", "token", "drop", "extra", "decrease"]),
+                              max_size=3)):
+        if not lines:
+            break
+        i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+        fields = lines[i].split(",")
+        if kind == "blank":
+            lines.insert(i, draw(st.sampled_from(["", "  ", "\t"])))
+            continue
+        if kind == "token":
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(TOKENS))
+        elif kind == "drop":
+            fields.pop()
+        elif kind == "extra":
+            fields.append("1.0")
+        elif len(fields) > t_column:
+            fields[t_column] = "-1e9"
+        lines[i] = ",".join(fields)
+    header = REMAP_HEADER if remap else HEADER
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join([header, *lines]) + draw(st.sampled_from([newline, ""]))
+    return text, REMAP if remap else None
+
+
+def outcome(text, columns):
+    try:
+        samples = read_trace(io.StringIO(text), columns=columns).samples
+    except ProcwattError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+    return column_bytes(samples)
+
+
+@CONTRACT
+@given(malformed_traces())
+# a short row then a long one: the fields realign, but the row counts differ
+@example((HEADER + "\n0.0,5.0\n1.0,5.0,9.0,2.0\n", None))
+def test_bulk_parse_agrees_with_line_by_line(case):
+    text, columns = case
+    bulk = outcome(text, columns)
+    with mock.patch.object(traceio, "_parse_bulk", return_value=None):
+        assert bulk == outcome(text, columns)
+
+
+@st.composite
+def samples_and_permutation(draw):
+    comp = st.one_of(st.sampled_from([0.0, 4.999, 5.0, 10.0, 95.0, -0.0]), competitions)
+    # bounded so that the per-bin variance stays finite
+    power = st.one_of(st.sampled_from(SPECIAL), st.floats(min_value=0.0, max_value=1e150))
+    samples = draw(st.lists(st.builds(TraceSample, finite, comp, power), min_size=1, max_size=40))
+    return samples, draw(st.permutations(samples))
+
+
+@CONTRACT
+@given(samples_and_permutation(), st.sampled_from([5.0, 0.7, 33.0, 1e-3]))
+def test_aggregation_is_order_invariant_and_matches_reference(case, bin_width):
+    samples, shuffled = case
+    assert aggregate(shuffled, bin_width) == aggregate(samples, bin_width)
+    assert aggregate(samples, bin_width) == reference_aggregate(samples, bin_width)
+    assert points_from_samples(shuffled) == points_from_samples(samples)
+    assert points_from_samples(samples) == reference_points(samples)
+
+
+# --- the TraceSamples sequence ---------------------------------------------
+
+
+class TestTraceSamples:
+    def test_sequence_of_trace_samples(self):
+        rows = [TraceSample(0.0, 5.0, 9.2), TraceSample(5.0, 10.0, 9.4), TraceSample(10.0, 10.0, 9.5)]
+        samples = TraceSamples([0.0, 5.0, 10.0], [5.0, 10.0, 10.0], [9.2, 9.4, 9.5])
+        assert len(samples) == 3
+        assert list(samples) == rows
+        assert samples[-1] == rows[-1] and type(samples[0]) is TraceSample
+        assert samples[1:] == rows[1:] and samples == tuple(rows)
+        assert samples != rows[:2] and samples != [*rows[:2], TraceSample(10.0, 10.0, 9.6)]
+        assert samples == TraceSamples.of(rows) and samples != TraceSamples.of(rows[:2])
+        assert TraceFile(samples=rows).samples == samples
+
+    def test_columns_are_read_only_copies(self):
+        t = np.array([0.0, 1.0])
+        samples = TraceSamples(t, [5.0, 5.0], [1.0, 2.0])
+        t[0] = 7.0
+        assert samples.t[0] == 0.0
+        with pytest.raises(ValueError):
+            samples.power[0] = 3.0
+
+    @pytest.mark.parametrize(
+        "cols, message",
+        [
+            (([0.0, 1.0], [5.0, 150.0], [1.0, 1.0]), "sample 1: competition must lie in [0, 100]"),
+            (([0.0, math.inf], [5.0, 5.0], [1.0, 1.0]), "sample 1: t must be finite"),
+            (([0.0], [5.0], [-0.5]), "sample 0: power must be >= 0"),
+            (([0.0, 1.0], [5.0], [1.0, 1.0]), "equal length"),
+            (([[0.0]], [[5.0]], [[1.0]]), "one-dimensional"),
+        ],
+    )
+    def test_invalid_columns_rejected(self, cols, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            TraceSamples(*cols)
+
+
+def test_importing_the_cli_does_not_load_scipy():
+    code = (
+        "import sys, procwatt.cli; "
+        "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env={"PYTHONPATH": SRC}, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -20,6 +20,7 @@ from .analysis import (
 from .errors import ProcwattError
 from .fitting import (
     AggregatedPoint,
+    AggregatedPoints,
     FitReport,
     ModelSelection,
     TraceSample,
@@ -68,6 +69,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregatedPoint",
+    "AggregatedPoints",
     "CrossoverResult",
     "FitReport",
     "LinearProfile",

@@ -106,8 +106,8 @@ def find_crossovers(
     between consecutive crossovers.
     """
     _require_pair(lin, root)
-    if p_max < 0:
-        raise InputError(f"p_max must be >= 0, got {p_max}")
+    if not 0 <= p_max < np.inf:
+        raise InputError(f"p_max must be finite and >= 0, got {p_max}")
     if cells < 1:
         raise InputError(f"cells must be >= 1, got {cells}")
 

@@ -134,15 +134,11 @@ def cmd_fit(args) -> CommandOutcome:
     nroot = fitting.fit_nroot(points, n_grid=range(args.n_min, args.n_max + 1))
     selection = fitting.select_model(linear, nroot, tie_tolerance=args.tie_tolerance)
 
-    buf = io.StringIO()
-    buf.write("competition_pct,observed_w,fitted_linear_w,fitted_nroot_w\n")
-    for pt in points:
-        buf.write(
-            f"{pt.competition!r},{pt.power!r},"
-            f"{profiles.evaluate(linear.profile, pt.competition)!r},"
-            f"{profiles.evaluate(nroot.profile, pt.competition)!r}\n"
-        )
-    csv_text = buf.getvalue()
+    evaluate = profiles.evaluate
+    csv_text = "competition_pct,observed_w,fitted_linear_w,fitted_nroot_w\n" + "".join(
+        f"{p!r},{w!r},{evaluate(linear.profile, p)!r},{evaluate(nroot.profile, p)!r}\n"
+        for p, w in zip(points.competition.tolist(), points.power.tolist())
+    )
 
     plot_path = None
     if args.plot_csv:

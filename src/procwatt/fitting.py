@@ -14,7 +14,6 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
@@ -69,29 +68,92 @@ def _validated_sample(t, competition, power):
     return sample
 
 
-class TraceSamples(Sequence):
+class _Columns(Sequence):
+    """An immutable sequence of rows held as equal-length read-only columns.
+
+    A subclass names its row type's fields in ``_fields``, their dtypes in
+    ``_dtypes`` and the row factory in ``_row``, and checks values in
+    ``_check``.  ``len`` is O(1), indexing and iteration yield rows, and it
+    compares equal to an instance with the same columns or to a list or tuple
+    of equal rows.
+    """
+
+    __slots__ = ("_columns",)
+    _fields: Tuple[str, ...] = ()
+    _dtypes: Tuple[type, ...] = ()
+
+    def __init__(self, *columns):
+        if len(columns) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes the columns {', '.join(self._fields)}")
+        columns = tuple(np.array(col, dtype=dt) for col, dt in zip(columns, self._dtypes))
+        if any(col.ndim != 1 for col in columns) or len({col.size for col in columns}) > 1:
+            raise InputError(
+                f"{', '.join(self._fields)} must be one-dimensional and of equal length, "
+                f"got shapes {[col.shape for col in columns]}"
+            )
+        self._check(*columns)
+        for col in columns:
+            col.flags.writeable = False
+        self._columns = columns
+
+    def _check(self, *columns):
+        pass
+
+    @classmethod
+    def of(cls, rows):
+        """The columns of any iterable of rows; an instance is returned as is."""
+        if isinstance(rows, cls):
+            return rows
+        rows = list(rows)
+        return cls(*([getattr(row, name) for row in rows] for name in cls._fields))
+
+    def __len__(self) -> int:
+        return self._columns[0].size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return type(self)(*(col[index] for col in self._columns))
+        return self._row(*(col[index].item() for col in self._columns))
+
+    def __iter__(self):
+        return map(self._row, *(col.tolist() for col in self._columns))
+
+    def __eq__(self, other):
+        if isinstance(other, type(self)):
+            return all(map(np.array_equal, self._columns, other._columns))
+        if isinstance(other, (list, tuple)):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(<{len(self)} rows>)"
+
+
+def _column(index, doc):
+    return property(lambda self: self._columns[index], doc=doc)
+
+
+class TraceSamples(_Columns):
     """An immutable, validated trace held as three float64 columns.
 
     ``t``, ``competition`` and ``power`` are read-only arrays of equal length;
     every row satisfies the TraceSample contract.  The object is a sequence of
-    TraceSample: ``len`` is O(1), indexing and iteration yield TraceSample
-    objects, and it compares equal to another TraceSamples with the same
-    columns or to a list or tuple of equal samples.
+    TraceSample with O(1) ``len``; it compares equal to another TraceSamples
+    with the same columns or to a list or tuple of equal samples.
 
     Build one from arrays with ``TraceSamples(t, competition, power)``, or
     from any iterable of samples with ``TraceSamples.of(samples)``.
     """
 
-    __slots__ = ("_columns",)
+    __slots__ = ()
+    _fields = ("t", "competition", "power")
+    _dtypes = (np.float64,) * 3
+    _row = staticmethod(_validated_sample)
+    t = _column(0, "Timestamps in seconds.")
+    competition = _column(1, "Competition in percent.")
+    power = _column(2, "Power in watts.")
 
-    def __init__(self, t, competition, power):
-        columns = tuple(np.array(col, dtype=np.float64) for col in (t, competition, power))
-        if any(col.ndim != 1 for col in columns) or len({col.size for col in columns}) > 1:
-            raise InputError(
-                "t, competition and power must be one-dimensional and of equal length, "
-                f"got shapes {[col.shape for col in columns]}"
-            )
-        t, competition, power = columns
+    def _check(self, t, competition, power):
         bad = ~(
             np.isfinite(t)
             & np.isfinite(power)
@@ -105,46 +167,6 @@ class TraceSamples(Sequence):
                 TraceSample(t[i].item(), competition[i].item(), power[i].item())
             except InputError as exc:
                 raise InputError(f"sample {i}: {exc}") from None
-        for col in columns:
-            col.flags.writeable = False
-        self._columns = columns
-
-    @classmethod
-    def of(cls, samples: Iterable[TraceSample]) -> "TraceSamples":
-        """The columns of any iterable of samples; a TraceSamples is returned as is."""
-        if isinstance(samples, cls):
-            return samples
-        samples = list(samples)
-        return cls(
-            [s.t for s in samples],
-            [s.competition for s in samples],
-            [s.power for s in samples],
-        )
-
-    t = property(lambda self: self._columns[0], doc="Timestamps in seconds.")
-    competition = property(lambda self: self._columns[1], doc="Competition in percent.")
-    power = property(lambda self: self._columns[2], doc="Power in watts.")
-
-    def __len__(self) -> int:
-        return self._columns[0].size
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return TraceSamples(*(col[index] for col in self._columns))
-        return _validated_sample(*(col[index].item() for col in self._columns))
-
-    def __iter__(self):
-        return map(_validated_sample, *(col.tolist() for col in self._columns))
-
-    def __eq__(self, other):
-        if isinstance(other, TraceSamples):
-            return all(map(np.array_equal, self._columns, other._columns))
-        if isinstance(other, (list, tuple)):
-            return len(self) == len(other) and all(map(operator.eq, self, other))
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"TraceSamples(<{len(self)} samples>)"
 
 
 @dataclass(frozen=True)
@@ -163,12 +185,31 @@ class AggregatedPoint:
     dispersion: float
 
 
+class AggregatedPoints(_Columns):
+    """Fitting points held as read-only columns: the counterpart of TraceSamples.
+
+    ``competition``, ``power`` and ``dispersion`` are float64, ``count`` is
+    int64.  The object is a sequence of AggregatedPoint with O(1) ``len``,
+    compared like TraceSamples; the fitters read ``competition`` and
+    ``power`` directly.
+    """
+
+    __slots__ = ()
+    _fields = ("competition", "power", "count", "dispersion")
+    _dtypes = (np.float64, np.float64, np.int64, np.float64)
+    _row = AggregatedPoint
+    competition = _column(0, "Competition in percent.")
+    power = _column(1, "Power in watts.")
+    count = _column(2, "Member samples per point.")
+    dispersion = _column(3, "Population standard deviation of the member powers.")
+
+
 def aggregate(samples: Iterable[TraceSample], bin_width: float = DEFAULT_BIN_WIDTH):
     """Bin samples by competition and summarize each bin.
 
     Samples land in bin floor(competition / bin_width).  Member values are
     sorted before reduction so the output is identical for any permutation of
-    the input.  Returns a list of AggregatedPoint sorted by competition.
+    the input.  Returns AggregatedPoints, one per bin, sorted by competition.
     """
     if not bin_width > 0:
         raise InputError(f"bin_width must be > 0, got {bin_width}")
@@ -182,21 +223,14 @@ def aggregate(samples: Iterable[TraceSample], bin_width: float = DEFAULT_BIN_WID
     powers = columns.power[np.lexsort((columns.power, keys))]
     keys = keys[by_competition]
     starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]).tolist()
-    points = []
-    for lo, hi in zip(starts, starts[1:] + [keys.size]):
-        members = powers[lo:hi]
-        points.append(
-            AggregatedPoint(
-                competition=float(np.mean(comps[lo:hi])),
-                power=float(np.median(members)),
-                count=hi - lo,
-                dispersion=float(np.std(members)),
-            )
-        )
-    return points
+    bins = [
+        (np.mean(comps[lo:hi]), np.median(powers[lo:hi]), hi - lo, np.std(powers[lo:hi]))
+        for lo, hi in zip(starts, starts[1:] + [keys.size])
+    ]
+    return AggregatedPoints(*zip(*bins))
 
 
-def points_from_samples(samples: Iterable[TraceSample]):
+def points_from_samples(samples: Iterable[TraceSample]) -> AggregatedPoints:
     """One unit-weight point per raw sample, for fitting without binning.
 
     Points are ordered by (competition, power, t).
@@ -205,15 +239,8 @@ def points_from_samples(samples: Iterable[TraceSample]):
     if not len(columns):
         raise InsufficientDataError("no samples")
     order = np.lexsort((columns.t, columns.power, columns.competition))
-    return list(
-        map(
-            AggregatedPoint,
-            columns.competition[order].tolist(),
-            columns.power[order].tolist(),
-            repeat(1),
-            repeat(0.0),
-        )
-    )
+    counts, dispersions = np.ones(order.size, dtype=np.int64), np.zeros(order.size)
+    return AggregatedPoints(columns.competition[order], columns.power[order], counts, dispersions)
 
 
 @dataclass(frozen=True)
@@ -236,70 +263,56 @@ class FitReport:
 
 
 def _ols(x: np.ndarray, y: np.ndarray):
-    """Closed-form simple regression y = intercept + slope*x with diagnostics."""
-    n = x.size
+    """Closed-form simple regression y = intercept + slope*x for each row of x.
+
+    Returns the row with the least SSE (the first on ties) and its fit.
+    Every sum is a pairwise np.add.reduce over explicitly rounded products,
+    with no BLAS call, so the result does not depend on the thread count.
+    """
+    n = y.size
     if n < 3:
         raise InsufficientDataError(f"need at least 3 points, got {n}")
-    if np.unique(x).size < 2:
-        raise DegenerateDesignError("all competition values are equal")
-    x_bar = float(np.mean(x))
-    y_bar = float(np.mean(y))
-    dx = x - x_bar
-    sxx = float(np.dot(dx, dx))
-    sxy = float(np.dot(dx, y - y_bar))
-    slope = sxy / sxx
-    intercept = y_bar - slope * x_bar
-    resid = y - (intercept + slope * x)
-    sse = float(np.dot(resid, resid))
-    sst = float(np.dot(y - y_bar, y - y_bar))
+    x_bars = np.add.reduce(x, axis=1) / n
+    y_bar = np.add.reduce(y) / n
+    dx = x - x_bars[:, None]
+    dy = y - y_bar
+    work = dx * dx  # one scratch buffer for the products and the residuals
+    sxxs = np.add.reduce(work, axis=1)
+    # zero when all values in a row are equal, or so close that dx*dx underflows
+    if not (sxxs > 0.0).all():
+        raise DegenerateDesignError("all competition values are equal (or too close to fit)")
+    slopes = np.add.reduce(np.multiply(dx, dy, out=work), axis=1) / sxxs
+    intercepts = y_bar - slopes * x_bars
+    np.multiply(slopes[:, None], x, out=work)
+    work += intercepts[:, None]
+    resid = np.subtract(y, work, out=work)
+    sses = np.add.reduce(np.multiply(resid, resid, out=work), axis=1)
+    row = int(np.argmin(sses))
+    x_bar, sxx, sse = float(x_bars[row]), float(sxxs[row]), float(sses[row])
+    sst = float(np.add.reduce(dy * dy))
     r2 = 1.0 if sst == 0.0 else 1.0 - sse / sst
     r2 = min(1.0, max(0.0, r2))
     df = n - 2
-    adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / df
     s2 = sse / df
-    se_slope = math.sqrt(s2 / sxx)
-    se_intercept = math.sqrt(s2 * (1.0 / n + x_bar * x_bar / sxx))
-    return intercept, slope, (se_intercept, se_slope), sse, r2, adj_r2, df
-
-
-def _t_and_p(estimates, std_errors, df):
-    ts, ps = [], []
-    for est, se in zip(estimates, std_errors):
-        if df < 1 or se == 0.0:
-            ts.append(None)
-            ps.append(None)
-        else:
-            t = est / se
-            ts.append(t)
-            ps.append(two_sided_p_value(t, df))
-    return tuple(ts), tuple(ps)
-
-
-def _points_to_arrays(points: Sequence[AggregatedPoint]):
-    points = list(points)
-    p = np.array([pt.competition for pt in points], dtype=float)
-    w = np.array([pt.power for pt in points], dtype=float)
-    return p, w
-
-
-def fit_linear(points: Sequence[AggregatedPoint]) -> FitReport:
-    """Fit W = a + b*p by ordinary least squares."""
-    p, w = _points_to_arrays(points)
-    a, b, ses, sse, r2, adj, df = _ols(p, w)
-    ts, ps = _t_and_p((a, b), ses, df)
-    return FitReport(
-        profile=LinearProfile(a=a, b=b),
-        std_errors=ses,
-        t_statistics=ts,
-        p_values=ps,
-        r_squared=r2,
-        adj_r_squared=adj,
-        sse=sse,
-        n_points=p.size,
+    ses = (math.sqrt(s2 * (1.0 / n + x_bar * x_bar / sxx)), math.sqrt(s2 / sxx))
+    estimates = (float(intercepts[row]), float(slopes[row]))
+    ts = tuple(est / se if se else None for est, se in zip(estimates, ses))
+    ps = tuple(None if t is None else two_sided_p_value(t, df) for t in ts)
+    report = dict(
+        std_errors=ses, t_statistics=ts, p_values=ps, r_squared=r2,
+        adj_r_squared=1.0 - (1.0 - r2) * (n - 1) / df, sse=sse, n_points=n,
     )
+    return row, estimates, report
 
 
-def fit_nroot(points: Sequence[AggregatedPoint], n_grid=DEFAULT_N_GRID) -> FitReport:
+def fit_linear(points: Iterable[AggregatedPoint]) -> FitReport:
+    """Fit W = a + b*p by ordinary least squares."""
+    points = AggregatedPoints.of(points)
+    _, (a, b), report = _ols(points.competition[None, :], points.power)
+    return FitReport(profile=LinearProfile(a=a, b=b), **report)
+
+
+def fit_nroot(points: Iterable[AggregatedPoint], n_grid=DEFAULT_N_GRID) -> FitReport:
     """Fit W = c + d*p**(1/n), choosing n from a grid by minimum SSE.
 
     For each candidate n the substitution x = p**(1/n) turns the problem into
@@ -312,38 +325,74 @@ def fit_nroot(points: Sequence[AggregatedPoint], n_grid=DEFAULT_N_GRID) -> FitRe
     for n in n_grid:
         if n < 2:
             raise InputError(f"every n in the grid must be >= 2, got {n}")
-    p, w = _points_to_arrays(points)
-    best = None
-    for n in n_grid:
-        x = p ** (1.0 / n)
-        c, d, ses, sse, r2, adj, df = _ols(x, w)
-        if best is None or sse < best[0]:
-            best = (sse, n, c, d, ses, r2, adj, df)
-    sse, n, c, d, ses, r2, adj, df = best
-    ts, ps = _t_and_p((c, d), ses, df)
-    return FitReport(
-        profile=NRootProfile(c=c, d=d, n=n),
-        std_errors=ses,
-        t_statistics=ts,
-        p_values=ps,
-        r_squared=r2,
-        adj_r_squared=adj,
-        sse=sse,
-        n_points=p.size,
-    )
+    points = AggregatedPoints.of(points)
+    design = np.array([points.competition ** (1.0 / n) for n in n_grid])
+    row, (c, d), report = _ols(design, points.power)
+    return FitReport(profile=NRootProfile(c=c, d=d, n=n_grid[row]), **report)
+
+
+def _log_gamma_ratio(a: float) -> float:
+    """log(Gamma(a + 1/2) / Gamma(a)).
+
+    For large a the two log-gammas nearly cancel, so an asymptotic series is
+    used there; its truncation error is below 2e-17 for a >= 20.
+    """
+    if a < 20.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    r = 1.0 / (a * a)
+    series = -1 / 8 + r * (1 / 192 + r * (-1 / 640 + r * (17 / 14336 - r * 31 / 18432)))
+    return 0.5 * math.log(a) + series / a
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of I_x(a, b) by the modified Lentz method.
+
+    Numerical Recipes, 3rd ed., section 6.4; converges quickly for
+    x < (a + 1) / (a + b + 2).
+    """
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) >= tiny else tiny)
+    h = d
+    for m in range(1, 1_000_000):
+        for step in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 + step * d
+            d = 1.0 / (d if abs(d) >= tiny else tiny)
+            c = 1.0 + step / c
+            c = c if abs(c) >= tiny else tiny
+            h *= d * c
+        if not abs(d * c - 1.0) > 2.220446049250313e-16:  # converged, or NaN
+            break
+    return h
+
+
+def _beta_half(a: float, x: float, y: float) -> float:
+    """The regularized incomplete beta I_x(a, 1/2).
+
+    y = 1 - x is passed separately so that a caller can keep its precision
+    when x is close to 1.
+    """
+    if x == 0.0 or y == 0.0:
+        return 0.0 if x == 0.0 else 1.0
+    log_x = math.log1p(-y) if y < 0.5 else math.log(x)
+    log_y = math.log1p(-x) if x < 0.5 else math.log(y)
+    # x**a * y**(1/2) / B(a, 1/2), with log Gamma(1/2) = log(pi) / 2
+    front = math.exp(_log_gamma_ratio(a) - 0.5 * math.log(math.pi) + a * log_x + 0.5 * log_y)
+    if x < (a + 1.0) / (a + 2.5):
+        return front * _beta_fraction(a, 0.5, x) / a
+    return 1.0 - front * _beta_fraction(0.5, a, y) / 0.5
 
 
 def two_sided_p_value(t: float, df: int) -> float:
-    """Two-sided Student-t tail probability via the regularized incomplete beta."""
+    """Two-sided Student-t tail probability, I_x(df/2, 1/2) with x = df/(df + t^2)."""
     if df < 1:
         raise DegenerateStatisticsError(f"degrees of freedom must be >= 1, got {df}")
-    if t == 0.0:
-        return 1.0
-    # imported here so that importing procwatt does not load scipy
-    from scipy.special import betainc
-
-    x = df / (df + t * t)
-    return float(betainc(df / 2.0, 0.5, x))
+    tt = t * t
+    return _beta_half(df / 2.0, df / (df + tt), tt / (df + tt))
 
 
 def t_test_slope(report: FitReport):

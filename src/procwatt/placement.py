@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
 from .analysis import best_machine
-from .errors import InputError, SizeLimitError
+from .errors import InputError, ProcwattError, SizeLimitError
 from .profiles import PowerProfile, evaluate, profile_from_dict, profile_to_dict
 
 MAX_EXHAUSTIVE_VNFS = 8
@@ -271,7 +271,9 @@ def problem_from_dict(data: dict) -> PlacementProblem:
         slices = tuple(str(s) for s in data["slices"])
     except KeyError as exc:
         raise InputError(f"placement document is missing field {exc.args[0]!r}") from exc
-    except TypeError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
+        if isinstance(exc, ProcwattError):
+            raise
         raise InputError(f"bad placement document: {exc}") from exc
     return PlacementProblem(machines=machines, vnfs=vnfs, slices=slices)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -27,6 +28,7 @@ from .traceio import TraceFile
 
 _U64 = 0xFFFFFFFFFFFFFFFF
 _INTEGER_FIELDS = ("seed", "cycles")
+_MAX_SAMPLES = int(np.iinfo(np.intp).max)  # the largest array index
 
 
 @dataclass(frozen=True)
@@ -52,11 +54,13 @@ class ProtocolConfig:
             value = getattr(self, f.name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"{f.name} must be a number, got {value!r}")
-            if isinstance(value, numbers.Integral):
-                continue
             if f.name in _INTEGER_FIELDS:
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            if not math.isfinite(value):
+                if not isinstance(value, numbers.Integral):
+                    raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            elif isinstance(value, numbers.Integral):
+                if abs(value) > sys.float_info.max:
+                    raise ConfigError(f"{f.name} is an integer beyond the float range")
+            elif not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
         q = self.baseline_load_q
         if not 0.0 < q < 100.0:
@@ -80,6 +84,12 @@ class ProtocolConfig:
             raise ConfigError(
                 f"start_pct must lie in [0, 100 - q] = [0, {100.0 - q}], got {self.start_pct}"
             )
+        # an upper bound on the sample count, checked before anything is allocated
+        per_cycle = ((100.0 - q - self.start_pct) / self.step_pct + 1.0) * (
+            self.dwell_seconds / self.sample_interval_seconds
+        )
+        if self.cycles > _MAX_SAMPLES or self.cycles * per_cycle > _MAX_SAMPLES:
+            raise ConfigError(f"the protocol asks for more than {_MAX_SAMPLES} samples")
 
 
 def competition_levels(config: ProtocolConfig) -> np.ndarray:

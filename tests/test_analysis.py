@@ -168,6 +168,11 @@ class TestFindCrossovers:
         with pytest.raises(InputError):
             find_crossovers(LIN, ROOT, p_max=-1.0)
 
+    @pytest.mark.parametrize("p_max", [math.nan, math.inf, -math.inf, np.float64("nan")])
+    def test_non_finite_p_max_rejected(self, p_max):
+        with pytest.raises(InputError, match="p_max must be finite"):
+            find_crossovers(LIN, ROOT, p_max=p_max)
+
     def test_wrong_kinds_rejected(self):
         with pytest.raises(ProfileKindError):
             find_crossovers(LIN, LIN, p_max=100.0)

@@ -93,6 +93,18 @@ class TestSimulate:
         assert main(["simulate", str(workdir / "linear.json"),
                      "--config", str(workdir / "config.json")]) == 2
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("dwell_seconds", 10**400, "beyond the float range"), ("cycles", 10**30, "samples")],
+    )
+    def test_huge_integer_config_field_exits_2(self, workdir, capsys, field, value, message):
+        # rejected by ProtocolConfig, before generate_trace allocates anything
+        (workdir / "config.json").write_text(json.dumps({"baseline_load_q": 5, field: value}))
+        assert main(["simulate", str(workdir / "linear.json"),
+                     "--config", str(workdir / "config.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
 
 class TestFit:
     def test_linear_trace_chooses_linear(self, workdir):
@@ -197,6 +209,12 @@ class TestCrossover:
         assert main(["crossover", str(workdir / "broken.json"),
                      str(workdir / "nroot.json")]) == 2
 
+    @pytest.mark.parametrize("p_max", ["nan", "inf"])
+    def test_non_finite_p_max_exit_2(self, workdir, capsys, p_max):
+        assert main(["crossover", str(workdir / "cross_linear.json"),
+                     str(workdir / "nroot.json"), "--p-max", p_max]) == 2
+        assert "p_max must be finite" in capsys.readouterr().err
+
 
 class TestPlace:
     def test_exhaustive_worked_instance(self, workdir, capsys):
@@ -230,6 +248,19 @@ class TestPlace:
     def test_malformed_problem_exit_2(self, workdir):
         (workdir / "broken.json").write_text(json.dumps({"machines": []}))
         assert main(["place", str(workdir / "broken.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "machine_field, vnf_field",
+        [({"base_competition": "x"}, {}), ({"core_count": "two"}, {}),
+         ({"core_count": 1e400}, {}), ({}, {"cpu_share": "x"})],
+    )
+    def test_non_numeric_problem_field_exit_2(self, workdir, capsys, machine_field, vnf_field):
+        doc = json.loads(json.dumps(PROBLEM_DOC))
+        doc["machines"][0].update(machine_field)
+        doc["vnfs"][0].update(vnf_field)
+        (workdir / "bad.json").write_text(json.dumps(doc))
+        assert main(["place", str(workdir / "bad.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: bad placement document")
 
 
 class TestEnergy:

@@ -372,3 +372,15 @@ class TestProblemValidation:
     def test_missing_field_rejected(self):
         with pytest.raises(InputError):
             problem_from_dict({"machines": [], "vnfs": []})
+
+    def test_non_numeric_field_rejected(self):
+        doc = problem_to_dict(two_by_two())
+        doc["machines"][0]["base_competition"] = "x"
+        with pytest.raises(InputError, match="bad placement document"):
+            problem_from_dict(doc)
+
+    def test_range_errors_keep_their_message(self):
+        doc = problem_to_dict(two_by_two())
+        doc["machines"][0]["base_competition"] = 150.0
+        with pytest.raises(InputError, match="^base_competition must lie in"):
+            problem_from_dict(doc)

@@ -49,6 +49,14 @@ class TestConfig:
             {"baseline_load_q": 5.0, "seed": 1.5},
             {"baseline_load_q": 5.0, "seed": 1.5, "noise_sigma": 0.3},
             {"baseline_load_q": 5.0, "seed": False},
+            # sizes that would fail while allocating; validation rejects them first
+            {"baseline_load_q": 5.0, "dwell_seconds": 10**400},
+            {"baseline_load_q": 5.0, "noise_sigma": -(10**400)},
+            {"baseline_load_q": 5.0, "cycles": 10**30},
+            {"baseline_load_q": 5.0, "cycles": 10**400},
+            {"baseline_load_q": 5.0, "step_pct": 5e-324},
+            {"baseline_load_q": 5.0, "dwell_seconds": 1e300},
+            {"baseline_load_q": 5.0, "dwell_seconds": 10**300, "sample_interval_seconds": 3},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from procwatt import (
     AggregatedPoint,
+    AggregatedPoints,
     LinearProfile,
     NRootProfile,
     ProtocolConfig,
@@ -33,6 +34,7 @@ from procwatt import (
     evaluate,
     fit_linear,
     fit_nroot,
+    fit_report_to_dict,
     generate_trace,
     integrate_energy,
     points_from_samples,
@@ -56,22 +58,25 @@ def sha256(text):
 
 
 # (config, truth, sha256 of the trace CSV, of the binned and of the raw fit
-# report as `procwatt fit` prints it, energy in joules)
+# report as `procwatt fit` prints it, energy in joules).  The reports the
+# earlier np.dot/scipy kernel gave for the same traces are kept in
+# fit_reports_blas_kernel.json; test_reports_agree_with_the_blas_kernel bounds
+# the difference.
 PINNED = {
     "linear_noisy": (
         ProtocolConfig(baseline_load_q=5.0, noise_sigma=0.3, seed=42, cycles=2),
         LinearProfile(9.75, 0.055),
         "e05d6fcfd510ee9e7a8de0afb7c9d94deffe0d1b596c12b029047cc30ea1c52f",
-        "9c8959e38bffa86db7e8f70a18b453759dd1ef9c2e57b3cb49dfeb571f3af27c",
-        "5ce55347e788769b01068fe12b6e2a476b1f294c344eb41b050023de4ebdffdb",
+        "0cfdb31e40cb698c9d9f39dcaa695c15f3f5773d042628f64abc0506e72c3c57",
+        "c514815e98bbfa89d570124e678cdc9935dd991190ff7cad04710d7943c17812",
         178027.64919066007,
     ),
     "linear_noiseless": (
         ProtocolConfig(baseline_load_q=5.0, cycles=2),
         LinearProfile(9.75, 0.055),
         "492c74fd966059a2a56d7575406d38868e1339fe16d471e4cee2259d5f0566ff",
-        "2f749e09488694da694b03a9f9b867c7ac8a41af3221548af3b6d9362977cc66",
-        "def779e6d262aa37b15f81422cbfd0d062e5ed032d2f3db2513f7c93432b77bc",
+        "cf2f9157de3358ff91e8f2d3cdf906eeff2381405a40cfc2a4e9b849ebee4ffb",
+        "78ae500ca876a60ee9289f36ac8864d542dcf9cd334d0179b08804442a7f4496",
         177958.1875,
     ),
     "nroot_noisy": (
@@ -80,16 +85,16 @@ PINNED = {
         ),
         NRootProfile(7.0, 1.5, 3),
         "f16d4e0c9f647f8784f2c8e63300efe83ac58e9b5b45495b33d29b143fd54d67",
-        "9493f50e24d9814a081fa76640736f6344862cde9a7701e519735adb0e45b6bf",
-        "bbdd2c80a5eba5d43dc5f2b2a79a45865b18f8f4ed947f5a90fb2bbaa0e6cff4",
+        "4ae5a5415a9b73f263a888b77472ebdb9af686f3b99052f7da6e06e638bc9a7c",
+        "b0e34c3e4ff87670fcb6748e9dabc9d463f26595bf81c904cd2e7fd35c9c3490",
         281315.63281249977,
     ),
     "nroot_noiseless": (
         ProtocolConfig(baseline_load_q=50.0, cycles=1),
         NRootProfile(7.0, 1.5, 3),
         "cb4cc59bb6ee705976636cfbd88d88101dd7091ba3e5b691849d7d78b2c43c62",
-        "9ee1d96079d4ca476a081badcfa06760b8d25cc2cc464e484103167c318f093c",
-        "94e2c7877597f5d3acbe63f7327debfe07beb16a709b83e553171732ae523e75",
+        "e5920158d5c5785c56bc7d09b439e64f6370dcb00b193a591094fcfbec67c2ae",
+        "b8773f2a727fbc6ca0c50064a5c5d6f33551d819237fe073249b3ce6e1d91a45",
         43335.63101425558,
     ),
 }
@@ -105,6 +110,51 @@ def test_pinned_outputs_are_bit_identical(name):
         selection = select_model(fit_linear(points), fit_nroot(points))
         assert sha256(json.dumps(selection_to_dict(selection), indent=2)) == expected
     assert integrate_energy(np.column_stack((samples.t, samples.power))) == energy
+
+
+BLAS_KERNEL_REPORTS = json.loads((Path(__file__).parent / "fit_reports_blas_kernel.json").read_text())
+# fields computed from the residuals; on an exact fit they are rounding noise
+RESIDUAL_FIELDS = ("sse", "std_errors", "t_statistics", "p_values")
+
+
+def assert_close(new, old, rel, abs_):
+    if isinstance(old, dict):
+        assert new.keys() == old.keys()
+        for key in old:
+            assert_close(new[key], old[key], rel, abs_)
+    elif isinstance(old, list):
+        assert len(new) == len(old)
+        for a, b in zip(new, old):
+            assert_close(a, b, rel, abs_)
+    elif isinstance(old, float):
+        assert new == pytest.approx(old, rel=rel, abs=abs_)
+    else:
+        assert new == old  # chosen, kind, n, n_points
+
+
+@pytest.mark.parametrize("key", sorted(BLAS_KERNEL_REPORTS))
+def test_reports_agree_with_the_blas_kernel(key):
+    name, kind = key.split("/")
+    config, truth = PINNED[name][:2]
+    samples = generate_trace(config, truth).samples
+    points = aggregate(samples) if kind == "binned" else points_from_samples(samples)
+    new = selection_to_dict(select_model(fit_linear(points), fit_nroot(points)))
+    old = BLAS_KERNEL_REPORTS[key]
+    assert new["chosen"] == old["chosen"]
+    assert new["margin"] == pytest.approx(old["margin"], rel=0, abs=1e-12)
+    for family in ("linear_report", "nroot_report"):
+        new_report, old_report = new[family], old[family]
+        if old_report["r_squared"] == 1.0:
+            # an exact fit: SSE is rounding noise (the earlier kernel's BLAS
+            # dot products gave 6e-30 where the batched kernel gives 0.0), and
+            # so are the standard errors, t and p derived from it
+            assert new_report["r_squared"] == 1.0
+            assert max(new_report["sse"], old_report["sse"]) < 1e-24
+            new_report, old_report = (
+                {k: v for k, v in r.items() if k not in RESIDUAL_FIELDS}
+                for r in (new_report, old_report)
+            )
+        assert_close(new_report, old_report, rel=1e-12, abs_=0.0)
 
 
 # --- reference implementations: one Python object per sample ---------------
@@ -355,6 +405,80 @@ class TestTraceSamples:
     def test_invalid_columns_rejected(self, cols, message):
         with pytest.raises(InputError, match=re.escape(message)):
             TraceSamples(*cols)
+
+
+# --- the AggregatedPoints sequence ------------------------------------------
+
+
+class TestAggregatedPoints:
+    ROWS = [AggregatedPoint(0.0, 9.2, 3, 0.1), AggregatedPoint(5.0, 9.4, 1, 0.0),
+            AggregatedPoint(10.0, 9.5, 2, 0.05)]
+
+    def test_sequence_of_points(self):
+        rows = self.ROWS
+        points = AggregatedPoints([0.0, 5.0, 10.0], [9.2, 9.4, 9.5], [3, 1, 2], [0.1, 0.0, 0.05])
+        assert len(points) == 3
+        assert list(points) == rows
+        assert points[-1] == rows[-1] and type(points[0]) is AggregatedPoint
+        assert type(points[0].count) is int and type(points[0].power) is float
+        assert points[1:] == rows[1:] and points == tuple(rows)
+        assert points != rows[:2] and points != [*rows[:2], AggregatedPoint(10.0, 9.5, 2, 0.06)]
+        assert points == AggregatedPoints.of(rows) and points != AggregatedPoints.of(rows[:2])
+        assert AggregatedPoints.of(points) is points
+        assert points != TraceSamples([0.0, 5.0, 10.0], [9.2, 9.4, 9.5], [3, 1, 2])
+
+    def test_columns_are_typed_read_only_copies(self):
+        power = np.array([9.2, 9.4])
+        points = AggregatedPoints([0.0, 5.0], power, [3, 1], [0.1, 0.0])
+        power[0] = 1.0
+        assert points.power[0] == 9.2
+        assert points.count.dtype == np.int64 and points.dispersion.dtype == np.float64
+        with pytest.raises(ValueError):
+            points.competition[0] = 3.0
+
+    @pytest.mark.parametrize(
+        "cols, message",
+        [
+            (([0.0, 1.0], [5.0], [1, 1], [0.0, 0.0]), "equal length"),
+            (([[0.0]], [[5.0]], [[1]], [[0.0]]), "one-dimensional"),
+        ],
+    )
+    def test_invalid_columns_rejected(self, cols, message):
+        with pytest.raises(InputError, match=message):
+            AggregatedPoints(*cols)
+
+    def test_producers_return_columns(self):
+        samples = TraceSamples([0.0, 1.0, 2.0, 3.0], [10.0, 0.0, 10.0, 0.0], [9.0, 8.0, 9.5, 8.5])
+        binned = aggregate(samples)
+        assert isinstance(binned, AggregatedPoints)
+        assert binned == [AggregatedPoint(0.0, 8.25, 2, 0.25), AggregatedPoint(10.0, 9.25, 2, 0.25)]
+        raw = points_from_samples(samples)
+        assert isinstance(raw, AggregatedPoints)
+        assert raw.competition.tolist() == [0.0, 0.0, 10.0, 10.0]
+        assert raw.power.tolist() == [8.0, 8.5, 9.0, 9.5]
+        assert raw.count.tolist() == [1] * 4 and raw.dispersion.tolist() == [0.0] * 4
+
+    def test_fitters_take_any_iterable_of_points(self):
+        rows = [AggregatedPoint(p, 9.0 + 0.05 * p + (p % 3) * 0.01, 1, 0.0) for p in range(0, 50, 5)]
+        columns = AggregatedPoints.of(rows)
+        for fit in (fit_linear, fit_nroot):
+            assert fit(rows) == fit(columns) == fit(iter(rows)) == fit(tuple(rows))
+
+
+@CONTRACT
+@given(samples_and_permutation())
+def test_raw_fits_are_order_invariant(case):
+    samples, shuffled = case
+
+    def fits(s):
+        points = points_from_samples(s)
+        try:
+            reports = fit_linear(points), fit_nroot(points)
+        except ProcwattError as exc:
+            return type(exc)
+        return json.dumps([fit_report_to_dict(r) for r in reports])
+
+    assert fits(shuffled) == fits(samples)
 
 
 def test_importing_the_cli_does_not_load_scipy():

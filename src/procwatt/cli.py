@@ -1,74 +1,30 @@
 """Command-line front end: simulate, fit, crossover, place, energy.
 
-Reports go to stdout as JSON by default; ``--out`` redirects them to a file
-(written to a temp file and renamed, so failures never leave partial output).
-``--format csv`` swaps the stdout report for plot-ready CSV.  Exit codes are
-stable: 0 ok, 1 internal error, 2 bad input format, 3 insufficient data,
-4 wrong profile kind, 5 exhaustive size limit exceeded.
+A thin shell over the library.  Reports go to stdout as JSON by default;
+``--out`` redirects them to a file (written to a temp file and renamed, so
+failures never leave partial output).  ``--format csv`` swaps the stdout
+report for plot-ready CSV, which ``--plot-csv`` also writes to a file.
+``simulate``'s flags and ``--config`` keys are ProtocolConfig's fields.
+The exit code is 0 on success, the ``exit_code`` of a ProcwattError, 2 for
+an unreadable file or malformed JSON, and 1 for anything else (an internal
+error).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import analysis, fitting, placement, profiles, simulate, traceio
-from .errors import (
-    ConfigError,
-    DegenerateDesignError,
-    DomainError,
-    InputError,
-    InsufficientDataError,
-    MismatchError,
-    OrderingError,
-    ProcwattError,
-    ProfileKindError,
-    SizeLimitError,
-    TraceFormatError,
-    TraceParseError,
-    TraceValidationError,
-)
-
-EXIT_OK = 0
-EXIT_INTERNAL = 1
-EXIT_INPUT = 2
-EXIT_NO_DATA = 3
-EXIT_KIND = 4
-EXIT_SIZE = 5
-
-_EXIT_BY_ERROR = (
-    (SizeLimitError, EXIT_SIZE),
-    (ProfileKindError, EXIT_KIND),
-    ((InsufficientDataError, DegenerateDesignError), EXIT_NO_DATA),
-    (
-        (
-            TraceFormatError,
-            TraceParseError,
-            TraceValidationError,
-            ConfigError,
-            InputError,
-            OrderingError,
-            DomainError,
-            MismatchError,
-        ),
-        EXIT_INPUT,
-    ),
-)
-
-
-@dataclass(frozen=True)
-class CommandOutcome:
-    exit_code: int
-    report_path: Optional[str] = None
-    plot_csv_path: Optional[str] = None
+from .errors import ConfigError, InputError, ProcwattError, ProfileKindError
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -84,17 +40,18 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit_report(args, json_doc: dict, csv_text: Optional[str]) -> Optional[str]:
-    """Write the JSON report to --out, or print JSON/CSV to stdout."""
+def _emit_report(args, json_doc: dict, csv_text: str) -> None:
+    """Write the CSV to --plot-csv if the command has it, then the JSON report
+    to --out, or print JSON/CSV to stdout."""
+    if getattr(args, "plot_csv", None):
+        _atomic_write(args.plot_csv, csv_text)
     text = json.dumps(json_doc, indent=2) + "\n"
     if args.out:
         _atomic_write(args.out, text)
-        return args.out
-    if args.format == "csv" and csv_text is not None:
+    elif args.format == "csv":
         sys.stdout.write(csv_text)
     else:
         sys.stdout.write(text)
-    return None
 
 
 def _parse_columns(text: Optional[str]):
@@ -124,7 +81,7 @@ def _read_trace(args) -> traceio.TraceFile:
     return traceio.read_trace(args.trace, columns=_parse_columns(args.columns))
 
 
-def cmd_fit(args) -> CommandOutcome:
+def cmd_fit(args) -> None:
     trace = _read_trace(args)
     if args.raw:
         points = fitting.points_from_samples(trace.samples)
@@ -139,16 +96,10 @@ def cmd_fit(args) -> CommandOutcome:
         f"{p!r},{w!r},{evaluate(linear.profile, p)!r},{evaluate(nroot.profile, p)!r}\n"
         for p, w in zip(points.competition.tolist(), points.power.tolist())
     )
-
-    plot_path = None
-    if args.plot_csv:
-        _atomic_write(args.plot_csv, csv_text)
-        plot_path = args.plot_csv
-    report_path = _emit_report(args, fitting.selection_to_dict(selection), csv_text)
-    return CommandOutcome(EXIT_OK, report_path, plot_path)
+    _emit_report(args, fitting.selection_to_dict(selection), csv_text)
 
 
-def cmd_crossover(args) -> CommandOutcome:
+def cmd_crossover(args) -> None:
     lin = _load_profile(args.linear_profile)
     root = _load_profile(args.nroot_profile)
     if not isinstance(lin, profiles.LinearProfile):
@@ -164,17 +115,10 @@ def cmd_crossover(args) -> CommandOutcome:
         w_lin = profiles.evaluate(lin, p)
         w_rt = profiles.evaluate(root, p)
         buf.write(f"{p!r},{w_lin!r},{w_rt!r},{w_lin - w_rt!r}\n")
-    csv_text = buf.getvalue()
-
-    plot_path = None
-    if args.plot_csv:
-        _atomic_write(args.plot_csv, csv_text)
-        plot_path = args.plot_csv
-    report_path = _emit_report(args, analysis.crossover_result_to_dict(result), csv_text)
-    return CommandOutcome(EXIT_OK, report_path, plot_path)
+    _emit_report(args, analysis.crossover_result_to_dict(result), buf.getvalue())
 
 
-def cmd_place(args) -> CommandOutcome:
+def cmd_place(args) -> None:
     problem = placement.problem_from_dict(_load_json(args.problem))
     if args.strategy == "greedy":
         result = placement.place_greedy(problem)
@@ -187,64 +131,38 @@ def cmd_place(args) -> CommandOutcome:
     buf.write("slice_id,power_w\n")
     for slice_id, watts in result.per_slice_power.items():
         buf.write(f"{slice_id},{watts!r}\n")
-    csv_text = buf.getvalue()
-
-    report_path = _emit_report(args, placement.result_to_dict(result), csv_text)
-    if report_path is not None:
+    _emit_report(args, placement.result_to_dict(result), buf.getvalue())
+    if args.out:
         for slice_id, watts in result.per_slice_power.items():
             print(f"slice {slice_id}: {watts:.6f} W")
         print(f"total: {result.total_power:.6f} W")
-    return CommandOutcome(EXIT_OK, report_path, None)
 
 
 def _config_from_args(args) -> simulate.ProtocolConfig:
+    """The --config document, or else the flags, with --seed applied on top.
+
+    Flags not given are None and leave the field at its dataclass default.
+    """
+    names = [field.name for field in dataclasses.fields(simulate.ProtocolConfig)]
     if args.config:
         doc = _load_json(args.config)
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
-        allowed = {
-            "baseline_load_q",
-            "noise_sigma",
-            "seed",
-            "start_pct",
-            "step_pct",
-            "dwell_seconds",
-            "sample_interval_seconds",
-            "cycles",
-        }
-        unknown = set(doc) - allowed
+        unknown = set(doc) - set(names)
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        try:
-            config = simulate.ProtocolConfig(**doc)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
     else:
-        config = simulate.ProtocolConfig(
-            baseline_load_q=args.q,
-            noise_sigma=args.sigma,
-            seed=args.seed if args.seed is not None else 0,
-            start_pct=args.start,
-            step_pct=args.step,
-            dwell_seconds=args.dwell,
-            sample_interval_seconds=args.interval,
-            cycles=args.cycles,
-        )
-    if args.seed is not None and config.seed != args.seed:
-        config = simulate.ProtocolConfig(
-            baseline_load_q=config.baseline_load_q,
-            noise_sigma=config.noise_sigma,
-            seed=args.seed,
-            start_pct=config.start_pct,
-            step_pct=config.step_pct,
-            dwell_seconds=config.dwell_seconds,
-            sample_interval_seconds=config.sample_interval_seconds,
-            cycles=config.cycles,
-        )
+        doc = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    try:
+        config = simulate.ProtocolConfig(**doc)
+    except TypeError as exc:
+        raise ConfigError(str(exc)) from exc
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
     return config
 
 
-def cmd_simulate(args) -> CommandOutcome:
+def cmd_simulate(args) -> None:
     config = _config_from_args(args)
     truth = _load_profile(args.truth_profile)
     trace = simulate.generate_trace(config, truth)
@@ -252,23 +170,21 @@ def cmd_simulate(args) -> CommandOutcome:
     if args.out:
         _atomic_write(args.out, text)
         print(f"{len(trace.samples)} samples written to {args.out}")
-        return CommandOutcome(EXIT_OK, args.out, None)
-    sys.stdout.write(text)
-    print(f"{len(trace.samples)} samples", file=sys.stderr)
-    return CommandOutcome(EXIT_OK, None, None)
+    else:
+        sys.stdout.write(text)
+        print(f"{len(trace.samples)} samples", file=sys.stderr)
 
 
-def cmd_energy(args) -> CommandOutcome:
+def cmd_energy(args) -> None:
     samples = _read_trace(args).samples
     joules = profiles.integrate_energy(np.column_stack((samples.t, samples.power)))
     duration = float(samples.t[-1] - samples.t[0])
     mean_watts = joules / duration
     doc = {"energy_joules": joules, "mean_power_w": mean_watts}
     csv_text = f"energy_joules,mean_power_w\n{joules!r},{mean_watts!r}\n"
-    report_path = _emit_report(args, doc, csv_text)
-    if report_path is not None:
+    _emit_report(args, doc, csv_text)
+    if args.out:
         print(f"energy: {joules:.6f} J over {duration:.3f} s, mean {mean_watts:.6f} W")
-    return CommandOutcome(EXIT_OK, report_path, None)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -320,13 +236,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", parents=[common], help="generate a synthetic trace")
     p_sim.add_argument("truth_profile", help="ground-truth profile JSON path")
     p_sim.add_argument("--config", help="protocol config JSON path (overrides the flags below)")
-    p_sim.add_argument("--q", type=float, default=5.0, help="baseline process load, percent")
-    p_sim.add_argument("--sigma", type=float, default=0.0, help="noise standard deviation, watts")
-    p_sim.add_argument("--cycles", type=int, default=8)
-    p_sim.add_argument("--step", type=float, default=5.0)
-    p_sim.add_argument("--dwell", type=float, default=360.0)
-    p_sim.add_argument("--interval", type=float, default=5.0)
-    p_sim.add_argument("--start", type=float, default=0.0)
+    # each flag's dest is a ProtocolConfig field (seed comes from --seed)
+    p_sim.add_argument("--q", dest="baseline_load_q", metavar="Q", type=float, default=5.0,
+                       help="baseline process load, percent")
+    p_sim.add_argument("--sigma", dest="noise_sigma", metavar="SIGMA", type=float,
+                       help="noise standard deviation, watts")
+    p_sim.add_argument("--cycles", type=int)
+    p_sim.add_argument("--step", dest="step_pct", metavar="STEP", type=float)
+    p_sim.add_argument("--dwell", dest="dwell_seconds", metavar="DWELL", type=float)
+    p_sim.add_argument("--interval", dest="sample_interval_seconds", metavar="INTERVAL", type=float)
+    p_sim.add_argument("--start", dest="start_pct", metavar="START", type=float)
     p_sim.set_defaults(handler=cmd_simulate)
 
     p_energy = sub.add_parser("energy", parents=[common], help="integrate a trace's energy")
@@ -337,30 +256,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _exit_code_for(exc: Exception) -> int:
-    for types, code in _EXIT_BY_ERROR:
-        if isinstance(exc, types):
-            return code
-    if isinstance(exc, (json.JSONDecodeError, OSError)):
-        return EXIT_INPUT
-    return EXIT_INTERNAL
-
-
-def run(argv=None) -> CommandOutcome:
+def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except Exception as exc:  # noqa: BLE001  (map every failure to a stable code)
-        code = _exit_code_for(exc)
-        if code == EXIT_INTERNAL and not isinstance(exc, ProcwattError):
-            print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return CommandOutcome(code, None, None)
-
-
-def main(argv=None) -> int:
-    return run(argv).exit_code
+        args.handler(args)
+    except ProcwattError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except (json.JSONDecodeError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # noqa: BLE001  (anything else is a bug: say so)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

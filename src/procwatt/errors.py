@@ -2,7 +2,12 @@
 
 
 class ProcwattError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.
+
+    ``exit_code`` is the command line's exit status for the error.
+    """
+
+    exit_code = 2
 
 
 class DomainError(ProcwattError, ValueError):
@@ -20,6 +25,8 @@ class InputError(ProcwattError, ValueError):
 class InsufficientDataError(ProcwattError, ValueError):
     """Too few samples or points to carry out the operation."""
 
+    exit_code = 3
+
 
 class OrderingError(ProcwattError, ValueError):
     """Timestamps are not strictly increasing where integration needs them."""
@@ -28,9 +35,13 @@ class OrderingError(ProcwattError, ValueError):
 class DegenerateDesignError(ProcwattError, ValueError):
     """Regression design has no spread in the predictor."""
 
+    exit_code = 3
+
 
 class DegenerateStatisticsError(ProcwattError, ValueError):
     """Test statistic is undefined (zero standard error or no degrees of freedom)."""
+
+    exit_code = 3
 
 
 class MismatchError(ProcwattError, ValueError):
@@ -48,9 +59,13 @@ class ConfigError(ProcwattError, ValueError):
 class SizeLimitError(ProcwattError, ValueError):
     """The instance exceeds the safety limits of exhaustive enumeration."""
 
+    exit_code = 5
+
 
 class ProfileKindError(ProcwattError, TypeError):
     """A power profile of the wrong kind (linear vs n-root) was supplied."""
+
+    exit_code = 4
 
 
 class TraceFormatError(ProcwattError, ValueError):

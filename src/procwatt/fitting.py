@@ -10,6 +10,7 @@ Student-t test.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from collections.abc import Sequence
@@ -72,10 +73,11 @@ class _Columns(Sequence):
     """An immutable sequence of rows held as equal-length read-only columns.
 
     A subclass names its row type's fields in ``_fields``, their dtypes in
-    ``_dtypes`` and the row factory in ``_row``, and checks values in
-    ``_check``.  ``len`` is O(1), indexing and iteration yield rows, and it
-    compares equal to an instance with the same columns or to a list or tuple
-    of equal rows.
+    ``_dtypes``, the row factory in ``_row`` and a row in ``_noun``.  Its
+    ``_rules`` states the rows' contract as (field, mask of the rows that keep
+    the rule, rule) triples, in the order one row is checked.  ``len`` is
+    O(1), indexing and iteration yield rows, and it compares equal to an
+    instance with the same columns or to a list or tuple of equal rows.
     """
 
     __slots__ = ("_columns",)
@@ -97,7 +99,14 @@ class _Columns(Sequence):
         self._columns = columns
 
     def _check(self, *columns):
-        pass
+        """Raise InputError naming the first row that breaks a rule."""
+        rules = self._rules(*columns)
+        ok = functools.reduce(operator.and_, [mask for _, mask, _ in rules])
+        if not ok.all():
+            row = int(np.argmin(ok))
+            name, _, rule = next(r for r in rules if not r[1][row])
+            value = columns[self._fields.index(name)][row].item()
+            raise InputError(f"{self._noun} {row}: {name} {rule}, got {value!r}")
 
     @classmethod
     def of(cls, rows):
@@ -149,24 +158,20 @@ class TraceSamples(_Columns):
     _fields = ("t", "competition", "power")
     _dtypes = (np.float64,) * 3
     _row = staticmethod(_validated_sample)
+    _noun = "sample"
     t = _column(0, "Timestamps in seconds.")
     competition = _column(1, "Competition in percent.")
     power = _column(2, "Power in watts.")
 
-    def _check(self, t, competition, power):
-        bad = ~(
-            np.isfinite(t)
-            & np.isfinite(power)
-            & (competition >= 0.0)
-            & (competition <= 100.0)
-            & (power >= 0.0)
-        )
-        if bad.any():
-            i = int(np.argmax(bad))
-            try:
-                TraceSample(t[i].item(), competition[i].item(), power[i].item())
-            except InputError as exc:
-                raise InputError(f"sample {i}: {exc}") from None
+    def _rules(self, t, competition, power):
+        # TraceSample's checks, in its order and with its messages
+        return [
+            ("t", np.isfinite(t), "must be finite"),
+            ("competition", np.isfinite(competition), "must be finite"),
+            ("power", np.isfinite(power), "must be finite"),
+            ("competition", (competition >= 0.0) & (competition <= 100.0), "must lie in [0, 100]"),
+            ("power", power >= 0.0, "must be >= 0"),
+        ]
 
 
 @dataclass(frozen=True)
@@ -198,10 +203,19 @@ class AggregatedPoints(_Columns):
     _fields = ("competition", "power", "count", "dispersion")
     _dtypes = (np.float64, np.float64, np.int64, np.float64)
     _row = AggregatedPoint
+    _noun = "point"
     competition = _column(0, "Competition in percent.")
     power = _column(1, "Power in watts.")
     count = _column(2, "Member samples per point.")
     dispersion = _column(3, "Population standard deviation of the member powers.")
+
+    def _rules(self, competition, power, count, dispersion):
+        return [
+            ("competition", (competition >= 0.0) & (competition <= 100.0), "must lie in [0, 100]"),
+            ("power", np.isfinite(power) & (power >= 0.0), "must be finite and >= 0"),
+            ("count", count >= 1, "must be >= 1"),
+            ("dispersion", np.isfinite(dispersion) & (dispersion >= 0.0), "must be finite and >= 0"),
+        ]
 
 
 def aggregate(samples: Iterable[TraceSample], bin_width: float = DEFAULT_BIN_WIDTH):

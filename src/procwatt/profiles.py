@@ -14,6 +14,7 @@ percent is the caller's job.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Union
 
@@ -65,6 +66,8 @@ class NRootProfile:
             raise InputError(f"n must be an integer, got {n!r}")
         if self.n < 2:
             raise InputError(f"n must be >= 2, got {self.n}")
+        if self.n > sys.float_info.max:
+            raise InputError("n is an integer beyond the float range")
 
     @property
     def k(self) -> float:

@@ -133,4 +133,4 @@ def generate_trace(config: ProtocolConfig, truth: PowerProfile) -> TraceFile:
             ]
         )
         power = np.maximum(power + noise, 0.0)
-    return TraceFile(samples=TraceSamples(t, competition, power), machine_label="synthetic")
+    return TraceFile(samples=TraceSamples(t, competition, power))

@@ -36,7 +36,7 @@ CANONICAL_COLUMNS = ("timestamp_s", "competition_pct", "power_w")
 
 @dataclass
 class TraceFile:
-    """A parsed trace plus the little metadata the toolkit carries around.
+    """A parsed or simulated trace: its samples and nothing else.
 
     ``samples`` may be given as any iterable of TraceSample and is stored as
     a TraceSamples, whose ``t``, ``competition`` and ``power`` arrays hold
@@ -44,8 +44,6 @@ class TraceFile:
     """
 
     samples: Sequence[TraceSample] = ()
-    machine_label: str = ""
-    core_count: Optional[int] = None
 
     def __post_init__(self):
         self.samples = TraceSamples.of(self.samples)
@@ -75,8 +73,6 @@ def _parse_field(raw: str, line_no: int, column: int, name: str) -> float:
 def read_trace(
     source: Union[str, os.PathLike, TextIO],
     columns: Optional[Mapping[str, str]] = None,
-    machine_label: str = "",
-    core_count: Optional[int] = None,
 ) -> TraceFile:
     """Parse a trace CSV from a path or an open text stream.
 
@@ -99,13 +95,13 @@ def read_trace(
     """
     stream, owned = _open_source(source)
     try:
-        return _read_stream(stream, columns, machine_label, core_count)
+        return _read_stream(stream, columns)
     finally:
         if owned:
             stream.close()
 
 
-def _read_stream(stream, columns, machine_label, core_count) -> TraceFile:
+def _read_stream(stream, columns) -> TraceFile:
     header_line = stream.readline()
     if not header_line:
         raise TraceFormatError("empty file, expected header", line=1)
@@ -138,7 +134,7 @@ def _read_stream(stream, columns, machine_label, core_count) -> TraceFile:
     samples = _parse_bulk(lines, width, indices)
     if samples is None:
         samples = _parse_lines(lines, width, indices)
-    return TraceFile(samples=samples, machine_label=machine_label, core_count=core_count)
+    return TraceFile(samples=samples)
 
 
 def _parse_bulk(lines, width, indices) -> Optional[TraceSamples]:

@@ -1,10 +1,13 @@
+import dataclasses
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from procwatt import ProtocolConfig, cli, errors, generate_trace, profile_from_dict, trace_to_string
 from procwatt.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -306,3 +309,85 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["total_power"] == 17.0
+
+
+class TestProtocolFlags:
+    FLAGS = ["--q", "20", "--sigma", "0.5", "--seed", "3", "--start", "1", "--step", "2.5",
+             "--dwell", "20", "--interval", "2", "--cycles", "2"]
+
+    def config_for(self, *argv):
+        return cli._config_from_args(cli._build_parser().parse_args(["simulate", "t.json", *argv]))
+
+    def test_every_field_has_a_flag(self):
+        config = self.config_for(*self.FLAGS)
+        assert config == ProtocolConfig(20.0, 0.5, 3, 1.0, 2.5, 20.0, 2.0, 2)
+        default = ProtocolConfig(baseline_load_q=5.0)
+        for field in dataclasses.fields(ProtocolConfig):
+            assert getattr(config, field.name) != getattr(default, field.name), field.name
+
+    def test_flags_not_given_take_the_field_defaults(self):
+        assert self.config_for() == ProtocolConfig(baseline_load_q=5.0)
+        assert self.config_for("--sigma", "0.5") == ProtocolConfig(5.0, noise_sigma=0.5)
+
+    def test_no_protocol_flags_writes_the_default_trace(self, workdir):
+        out = workdir / "default.csv"
+        assert main(["simulate", str(workdir / "linear.json"), "--out", str(out)]) == 0
+        trace = generate_trace(ProtocolConfig(baseline_load_q=5.0), profile_from_dict(LINEAR_DOC))
+        assert out.read_bytes() == trace_to_string(trace).encode()
+
+    def test_seed_flag_overrides_the_config_document(self, workdir):
+        config = {"baseline_load_q": 50.0, "noise_sigma": 0.2, "seed": 3, "cycles": 1}
+        (workdir / "config.json").write_text(json.dumps(config))
+        args = cli._build_parser().parse_args(
+            ["simulate", "t.json", "--config", str(workdir / "config.json"), "--seed", "7", "--q", "9"]
+        )
+        assert cli._config_from_args(args) == ProtocolConfig(**{**config, "seed": 7})
+
+
+def _error_classes(cls=errors.ProcwattError):
+    return [cls, *(sub for direct in cls.__subclasses__() for sub in _error_classes(direct))]
+
+
+def _readme_exit_codes():
+    """Error class name -> exit code, from README's exit-code table."""
+    codes = {}
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    for line in readme.read_text(encoding="utf-8").splitlines():
+        row = re.match(r"\| `(\d)` \|", line)
+        if row:
+            for name in re.findall(r"`(\w+Error)`", line):
+                codes[name] = int(row.group(1))
+    return codes
+
+
+class TestExitCodes:
+    README_CODES = _readme_exit_codes()
+
+    @pytest.mark.parametrize("error", _error_classes(), ids=lambda cls: cls.__name__)
+    def test_every_error_class_has_its_documented_code(self, error):
+        assert error.__name__ in self.README_CODES, f"{error.__name__} missing from README"
+        assert error.exit_code == self.README_CODES[error.__name__]
+
+    def test_unexpected_exception_is_an_internal_error(self, workdir, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "cmd_place", broken)
+        assert main(["place", str(workdir / "problem.json")]) == 1
+        assert capsys.readouterr().err == "internal error: RuntimeError: boom\n"
+
+    @pytest.mark.parametrize(
+        "error", [errors.DegenerateStatisticsError, errors.NoThresholdError, errors.SizeLimitError]
+    )
+    def test_handler_error_exits_with_its_code(self, workdir, capsys, monkeypatch, error):
+        def failing(args):
+            raise error("no good")
+
+        monkeypatch.setattr(cli, "cmd_place", failing)
+        assert main(["place", str(workdir / "problem.json")]) == error.exit_code
+        assert capsys.readouterr().err == "error: no good\n"
+
+    def test_nroot_n_beyond_the_float_range_exits_2(self, workdir, capsys):
+        (workdir / "huge.json").write_text('{"kind": "nroot", "c": 6.0, "d": 1.2, "n": 1' + "0" * 400 + "}")
+        assert main(["crossover", str(workdir / "cross_linear.json"), str(workdir / "huge.json")]) == 2
+        assert capsys.readouterr().err == "error: n is an integer beyond the float range\n"

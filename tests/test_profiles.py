@@ -190,6 +190,13 @@ class TestConstruction:
         with pytest.raises(InputError):
             NRootProfile(7.0, bad, 2)
 
+    def test_nroot_rejects_n_beyond_the_float_range(self):
+        with pytest.raises(InputError, match="beyond the float range"):
+            NRootProfile(7.0, 1.5, 10**400)
+        with pytest.raises(InputError, match="beyond the float range"):
+            profile_from_dict({"kind": "nroot", "c": 7.0, "d": 1.5, "n": 10**400})
+        assert NRootProfile(7.0, 1.5, 10**300).k == 1.0
+
 
 class TestSerialization:
     @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ import math
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -446,6 +447,40 @@ class TestAggregatedPoints:
     def test_invalid_columns_rejected(self, cols, message):
         with pytest.raises(InputError, match=message):
             AggregatedPoints(*cols)
+
+    @pytest.mark.parametrize(
+        "cols, message",
+        [
+            (([0.0, -1.0], [5.0, 5.0], [1, 1], [0.0, 0.0]), "point 1: competition must lie in [0, 100], got -1.0"),
+            (([0.0, 100.5], [5.0, 5.0], [1, 1], [0.0, 0.0]), "point 1: competition must lie in [0, 100]"),
+            (([math.nan], [5.0], [1], [0.0]), "point 0: competition must lie in [0, 100], got nan"),
+            (([0.0, 5.0], [5.0, math.nan], [1, 1], [0.0, 0.0]), "point 1: power must be finite and >= 0, got nan"),
+            (([0.0], [-0.5], [1], [0.0]), "point 0: power must be finite and >= 0"),
+            (([0.0], [math.inf], [1], [0.0]), "point 0: power must be finite and >= 0"),
+            (([0.0, 5.0], [5.0, 5.0], [1, 0], [0.0, 0.0]), "point 1: count must be >= 1, got 0"),
+            (([0.0], [5.0], [1], [math.inf]), "point 0: dispersion must be finite and >= 0"),
+            (([0.0], [5.0], [1], [-0.1]), "point 0: dispersion must be finite and >= 0"),
+        ],
+    )
+    def test_out_of_contract_values_rejected(self, cols, message):
+        with pytest.raises(InputError, match=re.escape(message)):
+            AggregatedPoints(*cols)
+
+    @pytest.mark.parametrize("fit", [fit_linear, fit_nroot])
+    @pytest.mark.parametrize(
+        "index, bad, message",
+        [
+            (3, AggregatedPoint(15.0, math.nan, 1, 0.0), "point 3: power must be finite"),
+            (0, AggregatedPoint(-5.0, 9.0, 1, 0.0), "point 0: competition must lie in [0, 100]"),
+        ],
+    )
+    def test_fitters_name_the_bad_point(self, fit, index, bad, message):
+        rows = [AggregatedPoint(5.0 * i, 9.0 + 0.05 * i, 1, 0.0) for i in range(10)]
+        rows[index] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match=re.escape(message)):
+                fit(rows)
 
     def test_producers_return_columns(self):
         samples = TraceSamples([0.0, 1.0, 2.0, 3.0], [10.0, 0.0, 10.0, 0.0], [9.0, 8.0, 9.5, 8.5])

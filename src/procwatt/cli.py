@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import analysis, fitting, placement, profiles, simulate, traceio
-from .errors import ConfigError, InputError, ProcwattError, ProfileKindError
+from .errors import ConfigError, InputError, ProcwattError
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -102,10 +102,6 @@ def cmd_fit(args) -> None:
 def cmd_crossover(args) -> None:
     lin = _load_profile(args.linear_profile)
     root = _load_profile(args.nroot_profile)
-    if not isinstance(lin, profiles.LinearProfile):
-        raise ProfileKindError("first profile must be linear")
-    if not isinstance(root, profiles.NRootProfile):
-        raise ProfileKindError("second profile must be n-root")
     result = analysis.find_crossovers(lin, root, p_max=args.p_max, cells=args.cells)
 
     buf = io.StringIO()

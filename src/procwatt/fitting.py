@@ -15,6 +15,7 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Real
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
@@ -37,29 +38,21 @@ NROOT = "nroot"
 MIXED = "mixed"
 
 
-def _require_finite(name, value):
-    if not math.isfinite(value):
-        raise InputError(f"{name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class TraceSample:
-    """One telemetry reading: time in seconds, competition percent, watts."""
+    """One telemetry reading (seconds, competition percent, watts), checked by
+    TraceSamples._rules and held as the Python floats it converts to."""
 
     t: float
     competition: float
     power: float
 
     def __post_init__(self):
-        _require_finite("t", self.t)
-        _require_finite("competition", self.competition)
-        _require_finite("power", self.power)
-        if not 0.0 <= self.competition <= 100.0:
-            raise InputError(
-                f"competition must lie in [0, 100], got {self.competition}"
-            )
-        if self.power < 0.0:
-            raise InputError(f"power must be >= 0, got {self.power}")
+        columns, failure = TraceSamples._checked([[self.t], [self.competition], [self.power]])
+        if failure is not None:
+            raise InputError(failure[1])
+        for name, column in zip(TraceSamples._fields, columns):
+            object.__setattr__(self, name, column.item())
 
 
 def _validated_sample(t, competition, power):
@@ -67,6 +60,49 @@ def _validated_sample(t, competition, power):
     sample = object.__new__(TraceSample)
     sample.__dict__.update(t=t, competition=competition, power=power)
     return sample
+
+
+def _first_failure(checks):
+    """The first row that fails one of ``checks``, (field, mask of the rows that
+    pass, rule) triples in the order one row is checked, and the first check it
+    fails; or None.
+    """
+    ok = functools.reduce(operator.and_, [mask for _, mask, _ in checks])
+    if ok.all():
+        return None
+    row = int(np.argmin(ok))
+    return row, next(check for check in checks if not check[1][row])
+
+
+def _violation(check, value):
+    """The message of a row that fails ``check`` with ``value``: "<field> <rule>, got <value>"."""
+    field, _, rule = check
+    return f"{field} {rule}, got {np.asarray(value).item()!r}"  # a Python number or str
+
+
+def _frozen(columns):
+    for col in columns:
+        col.flags.writeable = False
+    return tuple(columns)
+
+
+def _as_column(name, values, dtype):
+    """values as an array of dtype, or InputError naming the field.
+
+    An integer field takes only values it holds exactly: 1.5 is refused, not
+    truncated to 1.
+    """
+    try:
+        with np.errstate(invalid="ignore"):
+            column = np.array(values, dtype=dtype)
+        if column.dtype.kind == "i":
+            given = np.asarray(values)
+            inexact = column != given
+            if inexact.any():
+                raise ValueError(f"{given[inexact][0].item()!r} is not an integer")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"{name} does not convert to {np.dtype(dtype).name}: {exc}") from None
+    return column
 
 
 class _Columns(Sequence):
@@ -87,26 +123,35 @@ class _Columns(Sequence):
     def __init__(self, *columns):
         if len(columns) != len(self._fields):
             raise TypeError(f"{type(self).__name__} takes the columns {', '.join(self._fields)}")
-        columns = tuple(np.array(col, dtype=dt) for col, dt in zip(columns, self._dtypes))
+        columns, failure = self._checked(columns)
+        if failure is not None:
+            raise InputError(f"{self._noun} {failure[0]}: {failure[1]}")
+        self._columns = _frozen(columns)
+
+    @classmethod
+    def _checked(cls, columns):
+        """The columns as one-dimensional arrays of the fields' dtypes and of
+        equal length, and the first row that breaks ``_rules`` with its message,
+        or None."""
+        columns = tuple(map(_as_column, cls._fields, columns, cls._dtypes))
         if any(col.ndim != 1 for col in columns) or len({col.size for col in columns}) > 1:
             raise InputError(
-                f"{', '.join(self._fields)} must be one-dimensional and of equal length, "
+                f"{', '.join(cls._fields)} must be one-dimensional and of equal length, "
                 f"got shapes {[col.shape for col in columns]}"
             )
-        self._check(*columns)
-        for col in columns:
-            col.flags.writeable = False
-        self._columns = columns
+        failure = _first_failure(cls._rules(*columns))
+        if failure is None:
+            return columns, None
+        row, check = failure
+        return columns, (row, _violation(check, columns[cls._fields.index(check[0])][row]))
 
-    def _check(self, *columns):
-        """Raise InputError naming the first row that breaks a rule."""
-        rules = self._rules(*columns)
-        ok = functools.reduce(operator.and_, [mask for _, mask, _ in rules])
-        if not ok.all():
-            row = int(np.argmin(ok))
-            name, _, rule = next(r for r in rules if not r[1][row])
-            value = columns[self._fields.index(name)][row].item()
-            raise InputError(f"{self._noun} {row}: {name} {rule}, got {value!r}")
+    @classmethod
+    def _of_checked(cls, columns):
+        """An instance holding ``columns`` as they are, without a copy or a check:
+        arrays of the fields' dtypes, of equal length, that keep ``_rules``."""
+        self = object.__new__(cls)
+        self._columns = _frozen(columns)
+        return self
 
     @classmethod
     def of(cls, rows):
@@ -146,9 +191,10 @@ class TraceSamples(_Columns):
     """An immutable, validated trace held as three float64 columns.
 
     ``t``, ``competition`` and ``power`` are read-only arrays of equal length;
-    every row satisfies the TraceSample contract.  The object is a sequence of
-    TraceSample with O(1) ``len``; it compares equal to another TraceSamples
-    with the same columns or to a list or tuple of equal samples.
+    every row keeps ``_rules``, the sample contract (TraceSample and read_trace
+    check it too).  The object is a sequence of TraceSample with O(1) ``len``;
+    it compares equal to another TraceSamples with the same columns or to a
+    list or tuple of equal samples.
 
     Build one from arrays with ``TraceSamples(t, competition, power)``, or
     from any iterable of samples with ``TraceSamples.of(samples)``.
@@ -163,8 +209,8 @@ class TraceSamples(_Columns):
     competition = _column(1, "Competition in percent.")
     power = _column(2, "Power in watts.")
 
-    def _rules(self, t, competition, power):
-        # TraceSample's checks, in its order and with its messages
+    @staticmethod
+    def _rules(t, competition, power):
         return [
             ("t", np.isfinite(t), "must be finite"),
             ("competition", np.isfinite(competition), "must be finite"),
@@ -209,7 +255,8 @@ class AggregatedPoints(_Columns):
     count = _column(2, "Member samples per point.")
     dispersion = _column(3, "Population standard deviation of the member powers.")
 
-    def _rules(self, competition, power, count, dispersion):
+    @staticmethod
+    def _rules(competition, power, count, dispersion):
         return [
             ("competition", (competition >= 0.0) & (competition <= 100.0), "must lie in [0, 100]"),
             ("power", np.isfinite(power) & (power >= 0.0), "must be finite and >= 0"),
@@ -450,8 +497,11 @@ def select_model(
     """Pick the profile family with the higher adjusted R-squared.
 
     Both reports must have been computed on the same points; the observable
-    proxy is the point count, which is required to match.
+    proxy is the point count, which is required to match.  tie_tolerance
+    must be finite and >= 0.
     """
+    if not (isinstance(tie_tolerance, Real) and 0.0 <= tie_tolerance < math.inf):
+        raise InputError(f"tie_tolerance must be finite and >= 0, got {tie_tolerance!r}")
     if not isinstance(linear.profile, LinearProfile):
         raise InputError("first report must be a linear fit")
     if not isinstance(nroot.profile, NRootProfile):

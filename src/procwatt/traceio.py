@@ -4,8 +4,10 @@ The native schema is a header line ``timestamp_s,competition_pct,power_w``
 followed by one sample per line.  Numbers use a plain decimal point, no
 thousands separators, and are written with their shortest round-trip
 representation, so read(write(trace)) reproduces the trace value-exactly.
-Every error carries the 1-based line (and, for field errors, column) where
-it occurred; nothing is silently truncated.
+Reading accepts LF and CRLF line ends and skips blank lines.  It parses the
+whole body column by column in one pass; when a line is bad, the first bad
+line's error carries its 1-based line number in the file, blank lines
+counted (and, for field errors, its column).  Nothing is silently truncated.
 
 External datasets with different column names or order can be ingested by
 passing a ``columns`` mapping from the canonical names to the names used in
@@ -14,22 +16,15 @@ the file, which switches header matching from positional to by-name.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 from typing import Mapping, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
-from .errors import (
-    InputError,
-    ProcwattError,
-    TraceFormatError,
-    TraceParseError,
-    TraceValidationError,
-)
-from .fitting import TraceSample, TraceSamples
+from .errors import TraceFormatError, TraceParseError, TraceValidationError
+from .fitting import TraceSample, TraceSamples, _first_failure, _violation
 
 CANONICAL_COLUMNS = ("timestamp_s", "competition_pct", "power_w")
 
@@ -53,21 +48,6 @@ def _open_source(source) -> tuple[TextIO, bool]:
     if isinstance(source, (str, os.PathLike)):
         return open(source, "r", encoding="utf-8", newline=""), True
     return source, False
-
-
-def _parse_field(raw: str, line_no: int, column: int, name: str) -> float:
-    text = raw.strip()
-    if "_" in text or not text:
-        raise TraceParseError(f"cannot parse {name} from {raw!r}", line_no, column)
-    try:
-        value = float(text)
-    except ValueError:
-        raise TraceParseError(
-            f"cannot parse {name} from {raw!r}", line_no, column
-        ) from None
-    if not math.isfinite(value):
-        raise TraceValidationError(f"{name} must be finite, got {raw!r}", line_no)
-    return value
 
 
 def read_trace(
@@ -129,78 +109,84 @@ def _read_stream(stream, columns) -> TraceFile:
                 )
             indices[name] = header.index(actual)
 
-    width = len(header)
-    lines = stream.readlines()
-    samples = _parse_bulk(lines, width, indices)
-    if samples is None:
-        samples = _parse_lines(lines, width, indices)
-    return TraceFile(samples=samples)
+    return TraceFile(samples=_parse_rows(stream.readlines(), len(header), indices))
 
 
-def _parse_bulk(lines, width, indices) -> Optional[TraceSamples]:
-    """Parse every row at once, or return None if any row is irregular.
+def _parse_rows(lines, width, indices) -> TraceSamples:
+    """Parse the lines after the header column by column, raising at the first bad one.
 
-    Irregular means anything the line-by-line parser might reject or treat
-    specially: a carriage return, a blank line, a wrong field count, an
-    underscore or unparsable text in a used field, a value that breaks the
-    sample contract, or a decreasing timestamp.  That parser then runs and
-    reports the exact line and column.
+    Blank lines are skipped, but they keep their place in the line numbering.
+    A line is checked in this order: its field count; that each of
+    timestamp_s, competition_pct and power_w parses and is finite; the
+    TraceSamples rules; and that its timestamp does not decrease.
     """
-    if list(map(str.count, lines, repeat(","))).count(width - 1) != len(lines):
-        return None
+    numbers = range(2, len(lines) + 2)
+    commas = list(map(str.count, lines, repeat(",")))
+    fit = np.ones(len(lines), bool)
+    # a blank line has no comma, so it has the right count only in a one-column file
+    if width == 1 or commas.count(width - 1) != len(lines):
+        kept = ~np.fromiter(map(str.isspace, lines), bool, len(lines))
+        numbers, commas = np.flatnonzero(kept) + 2, np.array(commas)[kept]
+        lines, fit = list(compress(lines, kept)), commas == width - 1
+        # a line of the wrong width fails first, so empty fields can stand in for it
+        for row in np.flatnonzero(~fit).tolist():
+            lines[row] = "," * (width - 1) + "\n"
     body = "".join(lines)
     if "\r" in body:
-        return None
-    # each line holds width fields and at most one (trailing) newline
+        body = "\n".join(map(str.rstrip, lines, repeat("\r\n")))
+    # each line now holds width fields and at most one (trailing) newline
     fields = body.replace("\n", ",").split(",")
-    size = len(lines) * width
-    columns = [fields[indices[name] : size : width] for name in CANONICAL_COLUMNS]
-    if "_" in body and any("_" in ",".join(column) for column in columns):
-        return None
-    try:
-        t, competition, power = (
-            np.fromiter(map(float, column), dtype=np.float64, count=len(lines))
-            for column in columns
+    raw = {name: fields[indices[name] : len(lines) * width : width] for name in CANONICAL_COLUMNS}
+    checks, columns = [("fields", fit, "count")], []
+    for name in CANONICAL_COLUMNS:
+        column, parsed = _floats(raw[name], "_" in body)
+        checks += [(name, parsed, "parse"), (name, np.isfinite(column), "must be finite")]
+        columns.append(column)
+    t = columns[0]
+    checks += TraceSamples._rules(*columns)
+    checks.append(("timestamp_s", t >= np.r_[t[:1], t[:-1]], "order"))
+    failure = _first_failure(checks)
+    if failure is None:
+        return TraceSamples._of_checked(columns)
+    row, check = failure
+    name, _, rule = check
+    line = int(numbers[row])
+    if rule == "count":
+        got = int(commas[row]) + 1
+        raise TraceParseError(f"expected {width} fields, got {got}", line, min(got, width) + 1)
+    if rule == "parse":
+        column = indices[name] + 1
+        raise TraceParseError(f"cannot parse {name} from {raw[name][row]!r}", line, column)
+    if rule == "order":
+        raise TraceValidationError(
+            f"timestamp {t[row].item()!r} decreases (previous {t[row - 1].item()!r})", line
         )
+    values = {**raw, **dict(zip(TraceSamples._fields, columns))}
+    raise TraceValidationError(_violation(check, values[name][row]), line)
+
+
+def _floats(fields, underscores):
+    """The fields as float64, NaN where one does not parse, and the mask of those that do.
+
+    A field parses when float() takes it and it holds no underscore, which
+    float() reads as a digit separator: '1_0' would be 10.0.
+    """
+    try:
+        values = np.fromiter(map(float, fields), np.float64, len(fields))
+        parsed = np.ones(len(fields), bool)
+    except ValueError:
+        numbers = list(map(_number, fields))
+        values, parsed = np.array(numbers, np.float64), np.array([x is not None for x in numbers])
+    if underscores:
+        parsed &= ~np.fromiter(map(str.__contains__, fields, repeat("_")), bool, len(fields))
+    return values, parsed
+
+
+def _number(field):
+    try:
+        return float(field)
     except ValueError:
         return None
-    if np.any(t[1:] < t[:-1]):
-        return None
-    try:
-        return TraceSamples(t, competition, power)
-    except InputError:
-        return None
-
-
-def _parse_lines(lines, width, indices) -> list:
-    """Parse row by row, raising at the first bad row with its line and column."""
-    samples = []
-    last_t = None
-    for line_no, raw_line in enumerate(lines, start=2):
-        line = raw_line.rstrip("\r\n")
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != width:
-            raise TraceParseError(
-                f"expected {width} fields, got {len(fields)}",
-                line_no,
-                min(len(fields), width) + 1,
-            )
-        t = _parse_field(fields[indices["timestamp_s"]], line_no, indices["timestamp_s"] + 1, "timestamp_s")
-        comp = _parse_field(fields[indices["competition_pct"]], line_no, indices["competition_pct"] + 1, "competition_pct")
-        power = _parse_field(fields[indices["power_w"]], line_no, indices["power_w"] + 1, "power_w")
-        try:
-            sample = TraceSample(t=t, competition=comp, power=power)
-        except ProcwattError as exc:
-            raise TraceValidationError(str(exc), line_no) from None
-        if last_t is not None and sample.t < last_t:
-            raise TraceValidationError(
-                f"timestamp {sample.t!r} decreases (previous {last_t!r})", line_no
-            )
-        last_t = sample.t
-        samples.append(sample)
-    return samples
 
 
 def write_trace(trace: TraceFile, sink: Union[str, os.PathLike, TextIO]) -> None:

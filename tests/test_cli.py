@@ -138,6 +138,14 @@ class TestFit:
         (workdir / "bad.csv").write_text("a,b\n1,2\n")
         assert main(["fit", str(workdir / "bad.csv")]) == 2
 
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+    def test_bad_tie_tolerance_exits_2(self, workdir, capsys, tolerance):
+        trace = simulate_trace(workdir)
+        capsys.readouterr()
+        assert main(["fit", str(trace), "--tie-tolerance", tolerance]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: tie_tolerance must be finite and >= 0, got ")
+
     def test_missing_file_exits_2(self, workdir):
         assert main(["fit", str(workdir / "missing.csv")]) == 2
 
@@ -206,6 +214,10 @@ class TestCrossover:
     def test_swapped_kinds_exit_4(self, workdir):
         assert main(["crossover", str(workdir / "nroot.json"),
                      str(workdir / "linear.json")]) == 4
+
+    def test_kind_error_names_the_kind_given(self, workdir, capsys):
+        assert main(["crossover", str(workdir / "nroot.json"), str(workdir / "linear.json")]) == 4
+        assert capsys.readouterr().err == "error: expected a linear profile, got NRootProfile\n"
 
     def test_malformed_profile_exit_2(self, workdir):
         (workdir / "broken.json").write_text("{not json")

@@ -307,6 +307,12 @@ class TestSelectModel:
         with pytest.raises(MismatchError):
             select_model(linear, fit_nroot(other_points))
 
+    @pytest.mark.parametrize("tolerance", [math.nan, -1.0, math.inf, -math.inf, "0.1", None])
+    def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
+        linear, nroot = self._reports(LinearProfile(9.75, 0.055))
+        with pytest.raises(InputError, match="tie_tolerance must be finite and >= 0"):
+            select_model(linear, nroot, tie_tolerance=tolerance)
+
     def test_swapped_reports_rejected(self):
         linear, nroot = self._reports(LinearProfile(9.75, 0.055))
         with pytest.raises(InputError):

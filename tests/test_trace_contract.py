@@ -46,7 +46,7 @@ from procwatt import (
     trace_to_string,
     traceio,
 )
-from procwatt.errors import InputError, ProcwattError
+from procwatt.errors import InputError, ProcwattError, TraceParseError, TraceValidationError
 from procwatt.simulate import _cycle_rng
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -218,6 +218,53 @@ def reference_points(samples):
     ]
 
 
+def reference_field(raw, line_no, column, name):
+    text = raw.strip()
+    if "_" in text or not text:
+        raise TraceParseError(f"cannot parse {name} from {raw!r}", line_no, column)
+    try:
+        value = float(text)
+    except ValueError:
+        raise TraceParseError(f"cannot parse {name} from {raw!r}", line_no, column) from None
+    if not math.isfinite(value):
+        raise TraceValidationError(f"{name} must be finite, got {raw!r}", line_no)
+    return value
+
+
+def reference_read(stream, columns=None):
+    """read_trace for a well-formed header, parsing the rows one TraceSample at a time."""
+    header_line, *lines = stream.readlines()
+    header = [h.strip() for h in header_line.rstrip("\r\n").split(",")]
+    names = traceio.CANONICAL_COLUMNS
+    indices = {name: header.index((columns or {}).get(name, name)) for name in names}
+    width = len(header)
+    samples = []
+    last_t = None
+    for line_no, raw_line in enumerate(lines, start=2):
+        line = raw_line.rstrip("\r\n")
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != width:
+            raise TraceParseError(
+                f"expected {width} fields, got {len(fields)}", line_no, min(len(fields), width) + 1
+            )
+        t, comp, power = (
+            reference_field(fields[indices[name]], line_no, indices[name] + 1, name) for name in names
+        )
+        try:
+            sample = TraceSample(t=t, competition=comp, power=power)
+        except ProcwattError as exc:
+            raise TraceValidationError(str(exc), line_no) from None
+        if last_t is not None and sample.t < last_t:
+            raise TraceValidationError(
+                f"timestamp {sample.t!r} decreases (previous {last_t!r})", line_no
+            )
+        last_t = sample.t
+        samples.append(sample)
+    return TraceFile(samples=samples)
+
+
 # --- strategies -------------------------------------------------------------
 
 # shortest-repr boundaries (1e-5 and 1e16 switch to exponent notation), signed
@@ -291,7 +338,7 @@ def test_write_then_read_is_the_identity(cols):
 
 
 TOKENS = ["1_0", "nan", "inf", "-inf", "", " ", "abc", "0x10", "1e400", "-1", "150",
-          " 5 ", "1e-5", "-0.0", "5e-324", "١٢"]
+          " 5 ", "1e-5", "-0.0", "5e-324", "١٢", "\r", "5\r", " \r", "\r5"]
 REMAP_HEADER = "node,watts,timestamp_s,cpu"
 REMAP = {"power_w": "watts", "competition_pct": "cpu"}
 
@@ -332,9 +379,9 @@ def malformed_traces(draw):
     return text, REMAP if remap else None
 
 
-def outcome(text, columns):
+def outcome(read, text, columns):
     try:
-        samples = read_trace(io.StringIO(text), columns=columns).samples
+        samples = read(io.StringIO(text), columns=columns).samples
     except ProcwattError as exc:
         return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
     return column_bytes(samples)
@@ -344,11 +391,40 @@ def outcome(text, columns):
 @given(malformed_traces())
 # a short row then a long one: the fields realign, but the row counts differ
 @example((HEADER + "\n0.0,5.0\n1.0,5.0,9.0,2.0\n", None))
+# one header column for all three names: a blank line has the one-column comma count
+@example(("x\n1.0\n\n2.0\n", dict.fromkeys(traceio.CANONICAL_COLUMNS, "x")))
+@example(("x\r\n1.0\r\n \r\n2.0", dict.fromkeys(traceio.CANONICAL_COLUMNS, "x")))
 def test_bulk_parse_agrees_with_line_by_line(case):
     text, columns = case
-    bulk = outcome(text, columns)
-    with mock.patch.object(traceio, "_parse_bulk", return_value=None):
-        assert bulk == outcome(text, columns)
+    assert outcome(read_trace, text, columns) == outcome(reference_read, text, columns)
+
+
+def simulated_text():
+    config = ProtocolConfig(baseline_load_q=50.0, noise_sigma=0.4, seed=9, cycles=1)
+    return trace_to_string(generate_trace(config, LinearProfile(9.75, 0.055)))
+
+
+@pytest.mark.parametrize(
+    "rewrite",
+    [
+        lambda text: text.replace("\n", "\r\n"),
+        lambda text: text + "\n",
+        lambda text: text + "\r\n \r\n",
+    ],
+    ids=["crlf", "trailing_blank", "crlf_trailing_blanks"],
+)
+def test_line_endings_and_blank_lines_read_like_lf(rewrite):
+    text = simulated_text()
+    lf = read_trace(io.StringIO(text)).samples
+    assert column_bytes(read_trace(io.StringIO(rewrite(text))).samples) == column_bytes(lf)
+
+
+def test_reading_builds_no_sample_per_row():
+    text = simulated_text()
+    with mock.patch.object(TraceSample, "__post_init__", side_effect=AssertionError("one per row")):
+        blank = HEADER + "\n\n" + text.split("\n", 1)[1] + "\n"
+        for variant in (text, text.replace("\n", "\r\n"), blank):
+            assert len(read_trace(io.StringIO(variant)).samples) == 792
 
 
 @st.composite
@@ -406,6 +482,40 @@ class TestTraceSamples:
     def test_invalid_columns_rejected(self, cols, message):
         with pytest.raises(InputError, match=re.escape(message)):
             TraceSamples(*cols)
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ((0.0, 150, 1.0), "competition must lie in [0, 100], got 150.0"),
+            ((math.nan, 5.0, 1.0), "t must be finite, got nan"),
+            ((0.0, 5.0, -0.5), "power must be >= 0, got -0.5"),
+        ],
+    )
+    def test_a_sample_keeps_the_column_rules(self, row, message):
+        with pytest.raises(InputError) as err:
+            TraceSample(*row)
+        assert str(err.value) == message
+
+    def test_a_sample_holds_the_floats_it_converts_to(self):
+        sample = TraceSample("5", 10, np.float32(9.5))
+        values = (sample.t, sample.competition, sample.power)
+        assert values == (5.0, 10.0, 9.5) and all(type(v) is float for v in values)
+        assert TraceSamples.of([sample]) == [sample]
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TraceSamples(["a"], [1.0], [1.0]), "t does not convert to float64"),
+        (lambda: TraceSample("a", 1.0, 1.0), "t does not convert to float64"),
+        (lambda: AggregatedPoints([1.0], [1.0], [1.5], [0.0]),
+         "count does not convert to int64: 1.5 is not an integer"),
+    ],
+    ids=["trace_samples", "trace_sample", "aggregated_points"],
+)
+def test_values_that_do_not_convert_are_named(build, message):
+    with pytest.raises(InputError, match=re.escape(message)):
+        build()
 
 
 # --- the AggregatedPoints sequence ------------------------------------------

@@ -67,59 +67,9 @@ from .traceio import TraceFile, read_trace, trace_to_string, write_trace
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AggregatedPoint",
-    "AggregatedPoints",
-    "CrossoverResult",
-    "FitReport",
-    "LinearProfile",
-    "Machine",
-    "ModelSelection",
-    "NRootProfile",
-    "PlacementProblem",
-    "PlacementResult",
-    "PowerProfile",
-    "ProcwattError",
-    "ProtocolConfig",
-    "ReferenceMachineModel",
-    "SignInterval",
-    "TraceFile",
-    "TraceSample",
-    "TraceSamples",
-    "Vnf",
-    "aggregate",
-    "best_machine",
-    "competition_levels",
-    "crossover_result_to_dict",
-    "derivative",
-    "derivative_threshold",
-    "difference",
-    "evaluate",
-    "evaluate_assignment",
-    "faced_competition",
-    "find_crossovers",
-    "fit_linear",
-    "fit_nroot",
-    "fit_report_to_dict",
-    "generate_trace",
-    "integrate_energy",
-    "machine_power",
-    "place_exhaustive",
-    "place_greedy",
-    "points_from_samples",
-    "problem_from_dict",
-    "problem_to_dict",
-    "profile_from_dict",
-    "profile_to_dict",
-    "read_trace",
-    "result_to_dict",
-    "samples_per_level",
-    "select_model",
-    "selection_to_dict",
-    "slice_power",
-    "t_test_slope",
-    "trace_to_string",
-    "two_sided_p_value",
-    "vnf_power",
-    "write_trace",
-]
+# every public name bound above except the submodules, which importing binds too
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and getattr(value, "__name__", None) != f"{__name__}.{name}"
+)

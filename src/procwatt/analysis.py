@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import InputError, NoThresholdError, ProfileKindError
-from .profiles import LinearProfile, NRootProfile, PowerProfile, evaluate
+from .profiles import LinearProfile, NRootProfile, PowerProfile, _as_integer, evaluate
 
 DEFAULT_SCAN_CELLS = 1024
 REFINE_TOLERANCE = 1e-6
@@ -108,6 +108,7 @@ def find_crossovers(
     _require_pair(lin, root)
     if not 0 <= p_max < np.inf:
         raise InputError(f"p_max must be finite and >= 0, got {p_max}")
+    cells = _as_integer("cells", cells)
     if cells < 1:
         raise InputError(f"cells must be >= 1, got {cells}")
 

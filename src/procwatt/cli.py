@@ -19,12 +19,12 @@ import json
 import os
 import sys
 import tempfile
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import analysis, fitting, placement, profiles, simulate, traceio
-from .errors import ConfigError, InputError, ProcwattError
+from .errors import ConfigError, InputError, InsufficientDataError, ProcwattError
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -40,16 +40,17 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _emit_report(args, json_doc: dict, csv_text: str) -> None:
+def _emit_report(args, json_doc: dict, csv_text: Callable[[], str]) -> None:
     """Write the CSV to --plot-csv if the command has it, then the JSON report
-    to --out, or print JSON/CSV to stdout."""
+    to --out, or print JSON/CSV to stdout.  csv_text() builds the CSV; it is
+    called only where the CSV is written."""
     if getattr(args, "plot_csv", None):
-        _atomic_write(args.plot_csv, csv_text)
+        _atomic_write(args.plot_csv, csv_text())
     text = json.dumps(json_doc, indent=2) + "\n"
     if args.out:
         _atomic_write(args.out, text)
     elif args.format == "csv":
-        sys.stdout.write(csv_text)
+        sys.stdout.write(csv_text())
     else:
         sys.stdout.write(text)
 
@@ -91,11 +92,13 @@ def cmd_fit(args) -> None:
     nroot = fitting.fit_nroot(points, n_grid=range(args.n_min, args.n_max + 1))
     selection = fitting.select_model(linear, nroot, tie_tolerance=args.tie_tolerance)
 
-    evaluate = profiles.evaluate
-    csv_text = "competition_pct,observed_w,fitted_linear_w,fitted_nroot_w\n" + "".join(
-        f"{p!r},{w!r},{evaluate(linear.profile, p)!r},{evaluate(nroot.profile, p)!r}\n"
-        for p, w in zip(points.competition.tolist(), points.power.tolist())
-    )
+    def csv_text():
+        evaluate = profiles.evaluate
+        return "competition_pct,observed_w,fitted_linear_w,fitted_nroot_w\n" + "".join(
+            f"{p!r},{w!r},{evaluate(linear.profile, p)!r},{evaluate(nroot.profile, p)!r}\n"
+            for p, w in zip(points.competition.tolist(), points.power.tolist())
+        )
+
     _emit_report(args, fitting.selection_to_dict(selection), csv_text)
 
 
@@ -104,14 +107,17 @@ def cmd_crossover(args) -> None:
     root = _load_profile(args.nroot_profile)
     result = analysis.find_crossovers(lin, root, p_max=args.p_max, cells=args.cells)
 
-    buf = io.StringIO()
-    buf.write("competition_pct,linear_w,nroot_w,difference_w\n")
-    for i in range(1, args.cells + 1):
-        p = args.p_max * i / args.cells
-        w_lin = profiles.evaluate(lin, p)
-        w_rt = profiles.evaluate(root, p)
-        buf.write(f"{p!r},{w_lin!r},{w_rt!r},{w_lin - w_rt!r}\n")
-    _emit_report(args, analysis.crossover_result_to_dict(result), buf.getvalue())
+    def csv_text():
+        buf = io.StringIO()
+        buf.write("competition_pct,linear_w,nroot_w,difference_w\n")
+        for i in range(1, args.cells + 1):
+            p = args.p_max * i / args.cells
+            w_lin = profiles.evaluate(lin, p)
+            w_rt = profiles.evaluate(root, p)
+            buf.write(f"{p!r},{w_lin!r},{w_rt!r},{w_lin - w_rt!r}\n")
+        return buf.getvalue()
+
+    _emit_report(args, analysis.crossover_result_to_dict(result), csv_text)
 
 
 def cmd_place(args) -> None:
@@ -123,11 +129,12 @@ def cmd_place(args) -> None:
             problem, max_vnfs=args.max_vnfs, max_machines=args.max_machines
         )
 
-    buf = io.StringIO()
-    buf.write("slice_id,power_w\n")
-    for slice_id, watts in result.per_slice_power.items():
-        buf.write(f"{slice_id},{watts!r}\n")
-    _emit_report(args, placement.result_to_dict(result), buf.getvalue())
+    def csv_text():
+        return "slice_id,power_w\n" + "".join(
+            f"{slice_id},{watts!r}\n" for slice_id, watts in result.per_slice_power.items()
+        )
+
+    _emit_report(args, placement.result_to_dict(result), csv_text)
     if args.out:
         for slice_id, watts in result.per_slice_power.items():
             print(f"slice {slice_id}: {watts:.6f} W")
@@ -175,10 +182,14 @@ def cmd_energy(args) -> None:
     samples = _read_trace(args).samples
     joules = profiles.integrate_energy(np.column_stack((samples.t, samples.power)))
     duration = float(samples.t[-1] - samples.t[0])
+    if duration == 0.0:
+        raise InsufficientDataError(
+            f"the trace spans zero duration (all {len(samples)} samples at "
+            f"t = {samples.t[0].item()!r}), so its mean power is undefined"
+        )
     mean_watts = joules / duration
     doc = {"energy_joules": joules, "mean_power_w": mean_watts}
-    csv_text = f"energy_joules,mean_power_w\n{joules!r},{mean_watts!r}\n"
-    _emit_report(args, doc, csv_text)
+    _emit_report(args, doc, lambda: f"energy_joules,mean_power_w\n{joules!r},{mean_watts!r}\n")
     if args.out:
         print(f"energy: {joules:.6f} J over {duration:.3f} s, mean {mean_watts:.6f} W")
 

@@ -29,7 +29,7 @@ class InsufficientDataError(ProcwattError, ValueError):
 
 
 class OrderingError(ProcwattError, ValueError):
-    """Timestamps are not strictly increasing where integration needs them."""
+    """Timestamps decrease where integration needs them in order."""
 
 
 class DegenerateDesignError(ProcwattError, ValueError):

@@ -27,7 +27,7 @@ from .errors import (
     InsufficientDataError,
     MismatchError,
 )
-from .profiles import LinearProfile, NRootProfile, PowerProfile, profile_to_dict
+from .profiles import LinearProfile, NRootProfile, PowerProfile, _document
 
 DEFAULT_BIN_WIDTH = 5.0
 DEFAULT_N_GRID = range(2, 9)
@@ -457,20 +457,13 @@ def two_sided_p_value(t: float, df: int) -> float:
 
 
 def t_test_slope(report: FitReport):
-    """Slope-significance test: returns (t, two-sided p) with df = n - 2."""
-    df = report.n_points - 2
-    se = report.std_errors[1]
-    if df < 1:
+    """Slope-significance test: the report's (t, two-sided p) for the slope,
+    with df = n - 2."""
+    if report.n_points < 3:
         raise DegenerateStatisticsError(f"no degrees of freedom (n={report.n_points})")
-    if se == 0.0:
+    if report.std_errors[1] == 0.0:
         raise DegenerateStatisticsError("zero standard error (perfect fit)")
-    t = _slope_estimate(report) / se
-    return t, two_sided_p_value(t, df)
-
-
-def _slope_estimate(report: FitReport) -> float:
-    prof = report.profile
-    return prof.b if isinstance(prof, LinearProfile) else prof.d
+    return report.t_statistics[1], report.p_values[1]
 
 
 @dataclass(frozen=True)
@@ -523,22 +516,8 @@ def select_model(
 
 
 def fit_report_to_dict(report: FitReport) -> dict:
-    return {
-        "profile": profile_to_dict(report.profile),
-        "std_errors": list(report.std_errors),
-        "t_statistics": list(report.t_statistics),
-        "p_values": list(report.p_values),
-        "r_squared": report.r_squared,
-        "adj_r_squared": report.adj_r_squared,
-        "sse": report.sse,
-        "n_points": report.n_points,
-    }
+    return _document(report)
 
 
 def selection_to_dict(selection: ModelSelection) -> dict:
-    return {
-        "chosen": selection.chosen,
-        "linear_report": fit_report_to_dict(selection.linear_report),
-        "nroot_report": fit_report_to_dict(selection.nroot_report),
-        "margin": selection.margin,
-    }
+    return _document(selection)

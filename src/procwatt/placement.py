@@ -20,7 +20,14 @@ from typing import Dict, Mapping, Tuple
 
 from .analysis import best_machine
 from .errors import InputError, ProcwattError, SizeLimitError
-from .profiles import PowerProfile, evaluate, profile_from_dict, profile_to_dict
+from .profiles import (
+    PowerProfile,
+    _as_integer,
+    _document,
+    _require_real,
+    evaluate,
+    profile_from_dict,
+)
 
 MAX_EXHAUSTIVE_VNFS = 8
 MAX_EXHAUSTIVE_MACHINES = 4
@@ -34,8 +41,10 @@ class Machine:
     core_count: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "core_count", _as_integer("core_count", self.core_count))
         if self.core_count < 1:
             raise InputError(f"core_count must be >= 1, got {self.core_count}")
+        _require_real("base_competition", self.base_competition)
         if not 0.0 <= self.base_competition <= 100.0:
             raise InputError(
                 f"base_competition must lie in [0, 100], got {self.base_competition}"
@@ -49,6 +58,7 @@ class Vnf:
     slice_id: str
 
     def __post_init__(self):
+        _require_real("cpu_share", self.cpu_share)
         if not 0.0 < self.cpu_share <= 100.0:
             raise InputError(f"cpu_share must lie in (0, 100], got {self.cpu_share}")
 
@@ -246,6 +256,14 @@ def place_exhaustive(
     return best if best is not None else best_infeasible
 
 
+def _exact_int(name: str, value) -> int:
+    """int(value), refusing a value that int() would change, such as 1.5 or "2"."""
+    number = int(value)
+    if number != value:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return number
+
+
 def problem_from_dict(data: dict) -> PlacementProblem:
     """Build a problem from its JSON document form."""
     if not isinstance(data, dict):
@@ -256,7 +274,7 @@ def problem_from_dict(data: dict) -> PlacementProblem:
                 id=str(m["id"]),
                 profile=profile_from_dict(m["profile"]),
                 base_competition=float(m.get("base_competition", 0.0)),
-                core_count=int(m.get("core_count", 1)),
+                core_count=_exact_int("core_count", m.get("core_count", 1)),
             )
             for m in data["machines"]
         )
@@ -279,29 +297,8 @@ def problem_from_dict(data: dict) -> PlacementProblem:
 
 
 def problem_to_dict(problem: PlacementProblem) -> dict:
-    return {
-        "machines": [
-            {
-                "id": m.id,
-                "profile": profile_to_dict(m.profile),
-                "base_competition": m.base_competition,
-                "core_count": m.core_count,
-            }
-            for m in problem.machines
-        ],
-        "vnfs": [
-            {"id": v.id, "cpu_share": v.cpu_share, "slice_id": v.slice_id}
-            for v in problem.vnfs
-        ],
-        "slices": list(problem.slices),
-    }
+    return _document(problem)
 
 
 def result_to_dict(result: PlacementResult) -> dict:
-    return {
-        "assignment": dict(result.assignment),
-        "per_vnf_power": dict(result.per_vnf_power),
-        "per_slice_power": dict(result.per_slice_power),
-        "total_power": result.total_power,
-        "feasible": result.feasible,
-    }
+    return _document(result)

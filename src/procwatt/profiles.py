@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from numbers import Real
 from typing import Union
 
 import numpy as np
@@ -29,9 +30,25 @@ from .errors import (
 )
 
 
-def _require_finite(name: str, value: float) -> None:
+def _require_real(name: str, value) -> None:
+    if not isinstance(value, Real):
+        raise InputError(f"{name} must be a real number, got {value!r}")
+
+
+def _require_finite(name: str, value) -> None:
+    _require_real(name, value)
     if not math.isfinite(value):
         raise InputError(f"{name} must be finite, got {value!r}")
+
+
+def _as_integer(name: str, value) -> int:
+    """value as an int, or InputError naming the field.
+
+    An integral float such as 2.0 is accepted; 2.5, NaN and a string are not.
+    """
+    if isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise InputError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -57,13 +74,7 @@ class NRootProfile:
     def __post_init__(self):
         _require_finite("c", self.c)
         _require_finite("d", self.d)
-        n = self.n
-        if isinstance(n, float):
-            if not n.is_integer():
-                raise InputError(f"n must be an integer, got {n!r}")
-            object.__setattr__(self, "n", int(n))
-        elif not isinstance(n, (int, np.integer)):
-            raise InputError(f"n must be an integer, got {n!r}")
+        object.__setattr__(self, "n", _as_integer("n", self.n))
         if self.n < 2:
             raise InputError(f"n must be >= 2, got {self.n}")
         if self.n > sys.float_info.max:
@@ -139,7 +150,8 @@ def integrate_energy(samples) -> float:
     Parameters
     ----------
     samples : sequence of (t, power) pairs or array of shape (n, 2)
-        Timestamps in seconds, strictly increasing; powers in watts, >= 0.
+        Timestamps in seconds, never decreasing; powers in watts, >= 0.
+        A repeated timestamp is a zero-width step and adds 0 J.
 
     Returns
     -------
@@ -158,8 +170,8 @@ def integrate_energy(samples) -> float:
     power = arr[:, 1]
     if np.any(~np.isfinite(arr)):
         raise InputError("samples must be finite")
-    if np.any(np.diff(t) <= 0):
-        raise OrderingError("timestamps must be strictly increasing")
+    if np.any(np.diff(t) < 0):
+        raise OrderingError("timestamps must not decrease")
     if np.any(power < 0):
         raise DomainError("powers must be non-negative")
     return float(np.sum(0.5 * np.diff(t) * (power[1:] + power[:-1])))
@@ -174,6 +186,26 @@ def profile_to_dict(profile: PowerProfile) -> dict:
     raise InputError(f"not a power profile: {profile!r}")
 
 
+def _document(value):
+    """The JSON-ready form of a result: a profile as its profile_to_dict
+    document, any other dataclass as {field: document} in declaration order,
+    a tuple or list as a list, a dict as a new dict, anything else as itself.
+
+    A report's JSON object is therefore its dataclass's fields.  Content that
+    must stay out of the default output is added beside this document under
+    the flag that asks for it, not as a dataclass field.
+    """
+    if isinstance(value, (LinearProfile, NRootProfile)):
+        return profile_to_dict(value)
+    if is_dataclass(value):
+        return {field.name: _document(getattr(value, field.name)) for field in fields(value)}
+    if isinstance(value, (tuple, list)):
+        return [_document(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _document(item) for key, item in value.items()}
+    return value
+
+
 def profile_from_dict(data: dict) -> PowerProfile:
     """Inverse of profile_to_dict.  Round-trips finite parameters exactly."""
     if not isinstance(data, dict):
@@ -186,7 +218,7 @@ def profile_from_dict(data: dict) -> PowerProfile:
             return NRootProfile(c=float(data["c"]), d=float(data["d"]), n=data["n"])
     except KeyError as exc:
         raise InputError(f"profile document is missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, InputError):
             raise
         raise InputError(f"bad profile field: {exc}") from exc

@@ -7,7 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from procwatt import ProtocolConfig, cli, errors, generate_trace, profile_from_dict, trace_to_string
+from procwatt import (
+    ProtocolConfig,
+    cli,
+    errors,
+    generate_trace,
+    profile_from_dict,
+    profiles,
+    trace_to_string,
+)
 from procwatt.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -304,11 +312,35 @@ class TestEnergy:
         (workdir / "empty.csv").write_text("timestamp_s,competition_pct,power_w\n")
         assert main(["energy", str(workdir / "empty.csv")]) == 3
 
+    def test_repeated_timestamp_is_a_zero_width_step(self, workdir, capsys):
+        lines = ["timestamp_s,competition_pct,power_w", "0,0,9.0", "0,0,9.5", "1,0,10.0"]
+        (workdir / "repeated.csv").write_text("\n".join(lines) + "\n")
+        assert main(["energy", str(workdir / "repeated.csv")]) == 0
+        assert json.loads(capsys.readouterr().out) == {"energy_joules": 9.75, "mean_power_w": 9.75}
+
+    def test_zero_span_exit_3(self, workdir, capsys):
+        lines = ["timestamp_s,competition_pct,power_w", "3.0,0,9.0", "3.0,0,9.5"]
+        (workdir / "instant.csv").write_text("\n".join(lines) + "\n")
+        assert main(["energy", str(workdir / "instant.csv")]) == 3
+        assert "zero duration" in capsys.readouterr().err
+
     def test_csv_format(self, workdir, capsys):
         lines = ["timestamp_s,competition_pct,power_w", "0,0,10.0", "10,0,10.0"]
         (workdir / "c.csv").write_text("\n".join(lines) + "\n")
         assert main(["energy", str(workdir / "c.csv"), "--format", "csv"]) == 0
         assert capsys.readouterr().out == "energy_joules,mean_power_w\n100.0,10.0\n"
+
+
+@pytest.mark.parametrize("argv", [["fit", "{dir}/trace.csv", "--raw"],
+                                  ["crossover", "{dir}/cross_linear.json", "{dir}/nroot.json"]])
+def test_plot_csv_is_built_only_when_written(workdir, monkeypatch, argv):
+    simulate_trace(workdir)
+
+    def refuse(*args):
+        raise AssertionError("the plot CSV was built")
+
+    monkeypatch.setattr(profiles, "evaluate", refuse)
+    assert main([arg.format(dir=workdir) for arg in argv]) == 0
 
 
 class TestEntryPoint:

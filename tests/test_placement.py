@@ -12,6 +12,7 @@ from procwatt import (
     Vnf,
     evaluate_assignment,
     faced_competition,
+    find_crossovers,
     place_exhaustive,
     place_greedy,
     problem_from_dict,
@@ -378,6 +379,30 @@ class TestProblemValidation:
         doc["machines"][0]["base_competition"] = "x"
         with pytest.raises(InputError, match="bad placement document"):
             problem_from_dict(doc)
+
+    @pytest.mark.parametrize("build, field", [
+        (lambda: Machine("m", LinearProfile(9.0, 0.05), core_count="2"), "core_count"),
+        (lambda: Machine("m", LinearProfile(9.0, 0.05), core_count=1.5), "core_count"),
+        (lambda: Machine("m", LinearProfile(9.0, 0.05), base_competition="5"), "base_competition"),
+        (lambda: Vnf("v", "5", "s"), "cpu_share"),
+        (lambda: LinearProfile("1", 0.1), "a"),
+        (lambda: NRootProfile(None, 1.0, 2), "c"),
+        (lambda: find_crossovers(LinearProfile(8.0, 0.05), NRootProfile(6.0, 1.2, 2), 100.0,
+                                 cells=2.5), "cells"),
+        (lambda: problem_from_dict({**problem_to_dict(two_by_two()), "machines": [
+            {"id": "m1", "profile": {"kind": "linear", "a": 9.0, "b": 0.05}, "core_count": 1.5}
+        ]}), "core_count"),
+    ])
+    def test_wrong_typed_argument_names_its_field(self, build, field):
+        with pytest.raises(InputError, match=field):
+            build()
+
+    def test_integral_float_core_count_is_accepted(self):
+        core_count = Machine("m", LinearProfile(9.0, 0.05), core_count=2.0).core_count
+        assert core_count == 2 and isinstance(core_count, int)
+        doc = problem_to_dict(two_by_two())
+        doc["machines"][0]["core_count"] = 4.0
+        assert problem_from_dict(doc).machines[0].core_count == 4
 
     def test_range_errors_keep_their_message(self):
         doc = problem_to_dict(two_by_two())

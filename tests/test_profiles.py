@@ -115,9 +115,9 @@ class TestIntegrateEnergy:
         with pytest.raises(OrderingError):
             integrate_energy([(0.0, 1.0), (2.0, 1.0), (1.0, 1.0)])
 
-    def test_duplicate_timestamp_rejected(self):
-        with pytest.raises(OrderingError):
-            integrate_energy([(0.0, 1.0), (0.0, 2.0)])
+    def test_repeated_timestamp_adds_zero(self):
+        assert integrate_energy([(0.0, 1.0), (0.0, 2.0)]) == 0.0
+        assert integrate_energy([(0.0, 1.0), (1.0, 3.0), (1.0, 5.0), (2.0, 5.0)]) == 2.0 + 5.0
 
     def test_negative_power_rejected(self):
         with pytest.raises(DomainError):
@@ -238,3 +238,7 @@ class TestSerialization:
     def test_non_object_rejected(self):
         with pytest.raises(InputError):
             profile_from_dict([1, 2, 3])
+
+    def test_integer_beyond_the_float_range_rejected(self):
+        with pytest.raises(InputError, match="bad profile field"):
+            profile_from_dict({"kind": "linear", "a": 10**400, "b": 0.05})

@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Tuple
 import numpy as np
 
 from .errors import InputError, NoThresholdError, ProfileKindError
-from .profiles import LinearProfile, NRootProfile, PowerProfile, _as_integer, evaluate
+from .profiles import LinearProfile, NRootProfile, PowerProfile, _number, evaluate
 
 DEFAULT_SCAN_CELLS = 1024
 REFINE_TOLERANCE = 1e-6
@@ -40,7 +40,8 @@ def derivative_threshold(lin: LinearProfile, root: NRootProfile) -> float:
 
     Returns (d / (n*b))**(1/k) with k = 1 - 1/n.  With d <= 0 the n-root term
     never outpaces the line, so the threshold is 0; with b <= 0 the difference
-    never turns increasing and no threshold exists.
+    never turns increasing and no threshold exists, nor does one beyond the
+    float range (a tiny positive b).
     """
     _require_pair(lin, root)
     b, d, n = lin.b, root.d, root.n
@@ -51,7 +52,13 @@ def derivative_threshold(lin: LinearProfile, root: NRootProfile) -> float:
     if d <= 0:
         return 0.0
     k = 1.0 - 1.0 / n
-    return (d / (n * b)) ** (1.0 / k)
+    try:
+        threshold = (d / (n * b)) ** (1.0 / k)
+    except OverflowError:  # ** raises where / gives inf
+        threshold = np.inf
+    if threshold == np.inf:
+        raise NoThresholdError(f"the threshold lies beyond the float range for b = {b}")
+    return threshold
 
 
 @dataclass(frozen=True)
@@ -106,11 +113,8 @@ def find_crossovers(
     between consecutive crossovers.
     """
     _require_pair(lin, root)
-    if not 0 <= p_max < np.inf:
-        raise InputError(f"p_max must be finite and >= 0, got {p_max}")
-    cells = _as_integer("cells", cells)
-    if cells < 1:
-        raise InputError(f"cells must be >= 1, got {cells}")
+    p_max = _number("p_max", p_max, 0)
+    cells = _number("cells", cells, 1, integer=True)
 
     threshold: Optional[float]
     try:

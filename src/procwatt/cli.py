@@ -203,7 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="json",
         help="stdout format when --out is not given",
     )
-    common.add_argument("--seed", type=int, default=None, help="random seed override")
 
     parser = argparse.ArgumentParser(
         prog="procwatt",
@@ -243,12 +242,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", parents=[common], help="generate a synthetic trace")
     p_sim.add_argument("truth_profile", help="ground-truth profile JSON path")
     p_sim.add_argument("--config", help="protocol config JSON path (overrides the flags below)")
-    # each flag's dest is a ProtocolConfig field (seed comes from --seed)
+    # each flag's dest is a ProtocolConfig field; --seed also overrides --config's seed
     p_sim.add_argument("--q", dest="baseline_load_q", metavar="Q", type=float, default=5.0,
                        help="baseline process load, percent")
     p_sim.add_argument("--sigma", dest="noise_sigma", metavar="SIGMA", type=float,
                        help="noise standard deviation, watts")
     p_sim.add_argument("--cycles", type=int)
+    p_sim.add_argument("--seed", type=int, help="random seed")
     p_sim.add_argument("--step", dest="step_pct", metavar="STEP", type=float)
     p_sim.add_argument("--dwell", dest="dwell_seconds", metavar="DWELL", type=float)
     p_sim.add_argument("--interval", dest="sample_interval_seconds", metavar="INTERVAL", type=float)

@@ -15,7 +15,6 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from numbers import Real
 from typing import Iterable, Optional, Tuple
 
 import numpy as np
@@ -27,7 +26,7 @@ from .errors import (
     InsufficientDataError,
     MismatchError,
 )
-from .profiles import LinearProfile, NRootProfile, PowerProfile, _document
+from .profiles import LinearProfile, NRootProfile, PowerProfile, _document, _number
 
 DEFAULT_BIN_WIDTH = 5.0
 DEFAULT_N_GRID = range(2, 9)
@@ -272,8 +271,7 @@ def aggregate(samples: Iterable[TraceSample], bin_width: float = DEFAULT_BIN_WID
     sorted before reduction so the output is identical for any permutation of
     the input.  Returns AggregatedPoints, one per bin, sorted by competition.
     """
-    if not bin_width > 0:
-        raise InputError(f"bin_width must be > 0, got {bin_width}")
+    bin_width = _number("bin_width", bin_width, 0, open_lo=True)
     columns = TraceSamples.of(samples)
     if not len(columns):
         raise InsufficientDataError("no samples to aggregate")
@@ -380,12 +378,9 @@ def fit_nroot(points: Iterable[AggregatedPoint], n_grid=DEFAULT_N_GRID) -> FitRe
     simple OLS, so each candidate fit is exact; the grid scan replaces a
     nonlinear search over n.  The winning n is stored in the profile.
     """
-    n_grid = list(n_grid)
+    n_grid = [_number(f"n_grid[{i}]", n, 2, integer=True) for i, n in enumerate(n_grid)]
     if not n_grid:
         raise InputError("n_grid must be non-empty")
-    for n in n_grid:
-        if n < 2:
-            raise InputError(f"every n in the grid must be >= 2, got {n}")
     points = AggregatedPoints.of(points)
     design = np.array([points.competition ** (1.0 / n) for n in n_grid])
     row, (c, d), report = _ols(design, points.power)
@@ -493,8 +488,7 @@ def select_model(
     proxy is the point count, which is required to match.  tie_tolerance
     must be finite and >= 0.
     """
-    if not (isinstance(tie_tolerance, Real) and 0.0 <= tie_tolerance < math.inf):
-        raise InputError(f"tie_tolerance must be finite and >= 0, got {tie_tolerance!r}")
+    tie_tolerance = _number("tie_tolerance", tie_tolerance, 0)
     if not isinstance(linear.profile, LinearProfile):
         raise InputError("first report must be a linear fit")
     if not isinstance(nroot.profile, NRootProfile):

@@ -19,18 +19,16 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
 from .analysis import best_machine
-from .errors import InputError, ProcwattError, SizeLimitError
-from .profiles import (
-    PowerProfile,
-    _as_integer,
-    _document,
-    _require_real,
-    evaluate,
-    profile_from_dict,
-)
+from .errors import InputError, SizeLimitError
+from .profiles import PowerProfile, _document, _store, evaluate, profile_from_dict
 
 MAX_EXHAUSTIVE_VNFS = 8
 MAX_EXHAUSTIVE_MACHINES = 4
+
+
+def _require_id(name: str, value) -> None:
+    if not isinstance(value, str):
+        raise InputError(f"{name} must be a string, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -41,14 +39,9 @@ class Machine:
     core_count: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "core_count", _as_integer("core_count", self.core_count))
-        if self.core_count < 1:
-            raise InputError(f"core_count must be >= 1, got {self.core_count}")
-        _require_real("base_competition", self.base_competition)
-        if not 0.0 <= self.base_competition <= 100.0:
-            raise InputError(
-                f"base_competition must lie in [0, 100], got {self.base_competition}"
-            )
+        _require_id("machine id", self.id)
+        _store(self, "base_competition", 0, 100)
+        _store(self, "core_count", 1, integer=True)
 
 
 @dataclass(frozen=True)
@@ -58,9 +51,9 @@ class Vnf:
     slice_id: str
 
     def __post_init__(self):
-        _require_real("cpu_share", self.cpu_share)
-        if not 0.0 < self.cpu_share <= 100.0:
-            raise InputError(f"cpu_share must lie in (0, 100], got {self.cpu_share}")
+        _require_id("vnf id", self.id)
+        _store(self, "cpu_share", 0, 100, open_lo=True)
+        _require_id("slice_id", self.slice_id)
 
 
 @dataclass(frozen=True)
@@ -73,6 +66,8 @@ class PlacementProblem:
         object.__setattr__(self, "machines", tuple(self.machines))
         object.__setattr__(self, "vnfs", tuple(self.vnfs))
         object.__setattr__(self, "slices", tuple(self.slices))
+        for slice_id in self.slices:
+            _require_id("slice id", slice_id)
         for name, ids in (
             ("machine", [m.id for m in self.machines]),
             ("vnf", [v.id for v in self.vnfs]),
@@ -256,44 +251,36 @@ def place_exhaustive(
     return best if best is not None else best_infeasible
 
 
-def _exact_int(name: str, value) -> int:
-    """int(value), refusing a value that int() would change, such as 1.5 or "2"."""
-    number = int(value)
-    if number != value:
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return number
-
-
 def problem_from_dict(data: dict) -> PlacementProblem:
-    """Build a problem from its JSON document form."""
+    """Build a problem from its JSON document form.
+
+    The values go to the constructors as they are: ids must be JSON strings
+    and numbers JSON numbers (a numeric string or a bool is refused, naming
+    the field); core_count takes an integral number such as 2.0.
+    """
     if not isinstance(data, dict):
         raise InputError("placement problem document must be an object")
     try:
-        machines = tuple(
-            Machine(
-                id=str(m["id"]),
-                profile=profile_from_dict(m["profile"]),
-                base_competition=float(m.get("base_competition", 0.0)),
-                core_count=_exact_int("core_count", m.get("core_count", 1)),
-            )
-            for m in data["machines"]
+        return PlacementProblem(
+            machines=[
+                Machine(
+                    id=m["id"],
+                    profile=profile_from_dict(m["profile"]),
+                    base_competition=m.get("base_competition", 0.0),
+                    core_count=m.get("core_count", 1),
+                )
+                for m in data["machines"]
+            ],
+            vnfs=[
+                Vnf(id=v["id"], cpu_share=v["cpu_share"], slice_id=v["slice_id"])
+                for v in data["vnfs"]
+            ],
+            slices=data["slices"],
         )
-        vnfs = tuple(
-            Vnf(
-                id=str(v["id"]),
-                cpu_share=float(v["cpu_share"]),
-                slice_id=str(v["slice_id"]),
-            )
-            for v in data["vnfs"]
-        )
-        slices = tuple(str(s) for s in data["slices"])
     except KeyError as exc:
         raise InputError(f"placement document is missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, ProcwattError):
-            raise
+    except TypeError as exc:  # a non-list where a list belongs, or a non-object entry
         raise InputError(f"bad placement document: {exc}") from exc
-    return PlacementProblem(machines=machines, vnfs=vnfs, slices=slices)
 
 
 def problem_to_dict(problem: PlacementProblem) -> dict:

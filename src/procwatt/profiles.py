@@ -14,7 +14,6 @@ percent is the caller's job.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, fields, is_dataclass
 from numbers import Real
 from typing import Union
@@ -30,25 +29,43 @@ from .errors import (
 )
 
 
-def _require_real(name: str, value) -> None:
-    if not isinstance(value, Real):
-        raise InputError(f"{name} must be a real number, got {value!r}")
+def _number(name, value, lo=None, hi=None, *, open_lo=False, open_hi=False, integer=False,
+            error=InputError):
+    """value checked against its field's rule: a float, or for an integer field
+    the exact int (an integral float such as 2.0 counts as an integer).
 
-
-def _require_finite(name: str, value) -> None:
-    _require_real(name, value)
-    if not math.isfinite(value):
-        raise InputError(f"{name} must be finite, got {value!r}")
-
-
-def _as_integer(name: str, value) -> int:
-    """value as an int, or InputError naming the field.
-
-    An integral float such as 2.0 is accepted; 2.5, NaN and a string are not.
+    A bool, a string or any other non-Real, a number beyond the float range,
+    NaN, +-inf, a value outside lo..hi (open at an end with open_lo/open_hi)
+    and, for an integer field, a fraction each raise error naming the field.
     """
-    if isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise InputError(f"{name} must be an integer, got {value!r}")
+    if isinstance(value, Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            raise error(f"{name} is an integer beyond the float range") from None
+        if (
+            math.isfinite(number)
+            and (lo is None or (lo < number if open_lo else lo <= number))
+            and (hi is None or (number < hi if open_hi else number <= hi))
+            and not (integer and int(value) != value)
+        ):
+            return int(value) if integer else number
+    if integer:
+        rule = "must be an integer" + ("" if lo is None else f" >= {lo}")
+    elif hi is not None:
+        rule = f"must lie in {'(' if open_lo else '['}{lo}, {hi}{')' if open_hi else ']'}"
+    elif lo is not None:
+        rule = f"must be finite and {'>' if open_lo else '>='} {lo}"
+    else:
+        rule = "must be finite"
+    raise error(f"{name} {rule}, got {value!r}")
+
+
+def _store(obj, name, *bounds, **rule):
+    """Check a frozen dataclass's field with _number, store and return the result."""
+    value = _number(name, getattr(obj, name), *bounds, **rule)
+    object.__setattr__(obj, name, value)
+    return value
 
 
 @dataclass(frozen=True)
@@ -59,8 +76,8 @@ class LinearProfile:
     b: float
 
     def __post_init__(self):
-        _require_finite("a", self.a)
-        _require_finite("b", self.b)
+        _store(self, "a")
+        _store(self, "b")
 
 
 @dataclass(frozen=True)
@@ -72,13 +89,9 @@ class NRootProfile:
     n: int
 
     def __post_init__(self):
-        _require_finite("c", self.c)
-        _require_finite("d", self.d)
-        object.__setattr__(self, "n", _as_integer("n", self.n))
-        if self.n < 2:
-            raise InputError(f"n must be >= 2, got {self.n}")
-        if self.n > sys.float_info.max:
-            raise InputError("n is an integer beyond the float range")
+        _store(self, "c")
+        _store(self, "d")
+        _store(self, "n", 2, integer=True)
 
     @property
     def k(self) -> float:
@@ -95,7 +108,7 @@ def evaluate(profile: PowerProfile, p: float) -> float:
     Defined at p = 0, where it returns the intercept.  Negative p is outside
     the model's domain.
     """
-    if p < 0:
+    if not p >= 0:
         raise DomainError(f"competition level must be >= 0, got {p}")
     if isinstance(profile, LinearProfile):
         return profile.a + profile.b * p
@@ -110,7 +123,7 @@ def derivative(profile: PowerProfile, p: float) -> float:
     Constant (b) for the linear family.  For the n-root family the derivative
     d / (n * p**(1 - 1/n)) is unbounded as p -> 0, so p must be positive.
     """
-    if p < 0:
+    if not p >= 0:
         raise DomainError(f"competition level must be >= 0, got {p}")
     if isinstance(profile, LinearProfile):
         return profile.b
@@ -129,18 +142,15 @@ class ReferenceMachineModel:
     p_max: float
 
     def __post_init__(self):
-        _require_finite("p_idle", self.p_idle)
-        _require_finite("p_max", self.p_max)
-        if not 0.0 <= self.p_idle <= self.p_max:
-            raise InputError(
-                f"need 0 <= p_idle <= p_max, got p_idle={self.p_idle}, p_max={self.p_max}"
-            )
+        _store(self, "p_idle", 0)
+        _store(self, "p_max")
+        if self.p_idle > self.p_max:
+            raise InputError(f"need p_idle <= p_max, got p_idle={self.p_idle}, p_max={self.p_max}")
 
 
 def machine_power(model: ReferenceMachineModel, u: float) -> float:
     """Machine watts at utilization fraction u in [0, 1]."""
-    if not 0.0 <= u <= 1.0:
-        raise DomainError(f"utilization must lie in [0, 1], got {u}")
+    u = _number("utilization", u, 0, 1, error=DomainError)
     return (model.p_max - model.p_idle) * u + model.p_idle
 
 
@@ -207,19 +217,20 @@ def _document(value):
 
 
 def profile_from_dict(data: dict) -> PowerProfile:
-    """Inverse of profile_to_dict.  Round-trips finite parameters exactly."""
+    """Inverse of profile_to_dict.  Round-trips finite parameters exactly.
+
+    The values go to the constructors as they are: a parameter must be a JSON
+    number (a numeric string or a bool is refused, naming the field), and n
+    an integer, for which 2.0 counts.
+    """
     if not isinstance(data, dict):
         raise InputError(f"profile document must be an object, got {type(data).__name__}")
     kind = data.get("kind")
     try:
         if kind == "linear":
-            return LinearProfile(a=float(data["a"]), b=float(data["b"]))
+            return LinearProfile(a=data["a"], b=data["b"])
         if kind == "nroot":
-            return NRootProfile(c=float(data["c"]), d=float(data["d"]), n=data["n"])
+            return NRootProfile(c=data["c"], d=data["d"], n=data["n"])
     except KeyError as exc:
         raise InputError(f"profile document is missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        if isinstance(exc, InputError):
-            raise
-        raise InputError(f"bad profile field: {exc}") from exc
     raise InputError(f"unknown profile kind {kind!r}")

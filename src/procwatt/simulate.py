@@ -15,19 +15,16 @@ generated independently without changing the output.
 from __future__ import annotations
 
 import math
-import numbers
-import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 from .fitting import TraceSamples
-from .profiles import PowerProfile, evaluate
+from .profiles import PowerProfile, _store, evaluate
 from .traceio import TraceFile
 
 _U64 = 0xFFFFFFFFFFFFFFFF
-_INTEGER_FIELDS = ("seed", "cycles")
 _MAX_SAMPLES = int(np.iinfo(np.intp).max)  # the largest array index
 
 
@@ -50,39 +47,21 @@ class ProtocolConfig:
     cycles: int = 8
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{f.name} must be a number, got {value!r}")
-            if f.name in _INTEGER_FIELDS:
-                if not isinstance(value, numbers.Integral):
-                    raise ConfigError(f"{f.name} must be an integer, got {value!r}")
-            elif isinstance(value, numbers.Integral):
-                if abs(value) > sys.float_info.max:
-                    raise ConfigError(f"{f.name} is an integer beyond the float range")
-            elif not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        q = self.baseline_load_q
-        if not 0.0 < q < 100.0:
-            raise ConfigError(f"baseline_load_q must lie in (0, 100), got {q!r}")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        if self.step_pct <= 0:
-            raise ConfigError(f"step_pct must be > 0, got {self.step_pct}")
-        if self.sample_interval_seconds <= 0:
-            raise ConfigError(
-                f"sample_interval_seconds must be > 0, got {self.sample_interval_seconds}"
-            )
+        def check(name, *bounds, **rule):
+            return _store(self, name, *bounds, error=ConfigError, **rule)
+
+        q = check("baseline_load_q", 0, 100, open_lo=True, open_hi=True)
+        check("noise_sigma", 0)
+        check("seed", integer=True)
+        check("start_pct", 0, 100 - q)
+        check("step_pct", 0, open_lo=True)
+        check("dwell_seconds")
+        check("sample_interval_seconds", 0, open_lo=True)
+        check("cycles", 1, integer=True)
         if self.dwell_seconds < self.sample_interval_seconds:
             raise ConfigError(
                 "dwell_seconds must be >= sample_interval_seconds, got "
                 f"{self.dwell_seconds} < {self.sample_interval_seconds}"
-            )
-        if self.cycles < 1:
-            raise ConfigError(f"cycles must be >= 1, got {self.cycles}")
-        if self.start_pct < 0 or self.start_pct > 100.0 - q:
-            raise ConfigError(
-                f"start_pct must lie in [0, 100 - q] = [0, {100.0 - q}], got {self.start_pct}"
             )
         # an upper bound on the sample count, checked before anything is allocated
         per_cycle = ((100.0 - q - self.start_pct) / self.step_pct + 1.0) * (

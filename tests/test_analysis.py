@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from procwatt import (
     LinearProfile,
@@ -13,6 +15,7 @@ from procwatt import (
     evaluate,
     find_crossovers,
 )
+from procwatt.analysis import REFINE_TOLERANCE
 from procwatt.errors import InputError, NoThresholdError, ProfileKindError
 
 LIN = LinearProfile(8.0, 0.05)
@@ -58,6 +61,13 @@ class TestDerivativeThreshold:
     def test_negative_slope_has_no_threshold(self):
         with pytest.raises(NoThresholdError):
             derivative_threshold(LinearProfile(8.0, -0.1), ROOT)
+
+    @pytest.mark.parametrize("b", [3e-266, 5e-324])  # the power overflows; the ratio does
+    def test_threshold_beyond_the_float_range_does_not_exist(self, b):
+        lin, root = LinearProfile(0.0, b), NRootProfile(0.0, 1.0, 2)
+        with pytest.raises(NoThresholdError, match="beyond the float range"):
+            derivative_threshold(lin, root)
+        assert find_crossovers(lin, root, p_max=1.0).derivative_threshold is None
 
     def test_non_positive_d_gives_zero(self):
         assert derivative_threshold(LIN, NRootProfile(6.0, 0.0, 2)) == 0.0
@@ -240,3 +250,32 @@ class TestScanRobustness:
             ds = np.array([difference(lin, root, p) for p in ps])
             flips = int(np.sum(np.sign(ds[1:]) * np.sign(ds[:-1]) < 0))
             assert len(result.crossovers) == flips
+
+
+linear_profiles = st.builds(LinearProfile, st.floats(0.0, 20.0), st.floats(-0.5, 0.5))
+nroot_profiles = st.builds(NRootProfile, st.floats(0.0, 20.0), st.floats(-5.0, 5.0), st.integers(2, 8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_profiles, nroot_profiles, st.floats(1.0, 100.0), st.integers(1, 200))
+def test_each_crossover_is_bracketed_by_a_sign_change_of_its_scan_cell(lin, root, p_max, cells):
+    def sign(p):
+        return np.sign(difference(lin, root, p))
+
+    grid = np.linspace(0.0, p_max, cells + 1)[1:]
+    signs = [sign(p) for p in grid]
+    exact_zeros = {float(p) for p, s in zip(grid, signs) if s == 0}
+
+    for x in find_crossovers(lin, root, p_max, cells=cells).crossovers:
+        if x in exact_zeros:
+            continue
+        # the scan cell [lo, hi] whose end values of D(p) have opposite signs
+        [(lo, hi)] = [
+            (grid[i], grid[i + 1])
+            for i in range(len(grid) - 1)
+            if grid[i] <= x <= grid[i + 1] and signs[i] * signs[i + 1] < 0
+        ]
+        # bisection stops at a bracket of width <= REFINE_TOLERANCE around x
+        # (or at an exact zero), so D changes sign that close to x
+        near_lo, near_hi = max(lo, x - REFINE_TOLERANCE), min(hi, x + REFINE_TOLERANCE)
+        assert sign(x) == 0 or sign(near_lo) * sign(near_hi) < 0

@@ -232,6 +232,11 @@ class TestCrossover:
         assert main(["crossover", str(workdir / "broken.json"),
                      str(workdir / "nroot.json")]) == 2
 
+    def test_numeric_string_parameter_exit_2_naming_the_field(self, workdir, capsys):
+        (workdir / "string.json").write_text(json.dumps({"kind": "linear", "a": "9", "b": 0.05}))
+        assert main(["crossover", str(workdir / "string.json"), str(workdir / "nroot.json")]) == 2
+        assert capsys.readouterr().err.startswith("error: a must be finite, got '9'")
+
     @pytest.mark.parametrize("p_max", ["nan", "inf"])
     def test_non_finite_p_max_exit_2(self, workdir, capsys, p_max):
         assert main(["crossover", str(workdir / "cross_linear.json"),
@@ -278,12 +283,21 @@ class TestPlace:
          ({"core_count": 1e400}, {}), ({}, {"cpu_share": "x"})],
     )
     def test_non_numeric_problem_field_exit_2(self, workdir, capsys, machine_field, vnf_field):
+        [field] = {**machine_field, **vnf_field}
         doc = json.loads(json.dumps(PROBLEM_DOC))
         doc["machines"][0].update(machine_field)
         doc["vnfs"][0].update(vnf_field)
         (workdir / "bad.json").write_text(json.dumps(doc))
         assert main(["place", str(workdir / "bad.json")]) == 2
-        assert capsys.readouterr().err.startswith("error: bad placement document")
+        assert capsys.readouterr().err.startswith(f"error: {field} must ")
+
+
+    def test_numeric_vnf_id_exit_2_naming_the_field(self, workdir, capsys):
+        doc = json.loads(json.dumps(PROBLEM_DOC))
+        doc["vnfs"][0]["id"] = 5
+        (workdir / "bad.json").write_text(json.dumps(doc))
+        assert main(["place", str(workdir / "bad.json")]) == 2
+        assert capsys.readouterr().err == "error: vnf id must be a string, got 5\n"
 
 
 class TestEnergy:
@@ -386,6 +400,24 @@ class TestProtocolFlags:
             ["simulate", "t.json", "--config", str(workdir / "config.json"), "--seed", "7", "--q", "9"]
         )
         assert cli._config_from_args(args) == ProtocolConfig(**{**config, "seed": 7})
+
+    def test_integral_float_cycles_in_the_config_document(self, workdir):
+        (workdir / "config.json").write_text(json.dumps({"baseline_load_q": 50.0, "cycles": 2.0}))
+        args = cli._build_parser().parse_args(
+            ["simulate", "t.json", "--config", str(workdir / "config.json")]
+        )
+        assert cli._config_from_args(args).cycles == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fit", "trace.csv"], ["crossover", "lin.json", "root.json"], ["place", "problem.json"],
+         ["energy", "trace.csv"]],
+    )
+    def test_only_simulate_takes_seed(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def _error_classes(cls=errors.ProcwattError):

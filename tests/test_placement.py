@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from procwatt import (
     LinearProfile,
@@ -377,7 +379,7 @@ class TestProblemValidation:
     def test_non_numeric_field_rejected(self):
         doc = problem_to_dict(two_by_two())
         doc["machines"][0]["base_competition"] = "x"
-        with pytest.raises(InputError, match="bad placement document"):
+        with pytest.raises(InputError, match="^base_competition must lie in"):
             problem_from_dict(doc)
 
     @pytest.mark.parametrize("build, field", [
@@ -409,3 +411,36 @@ class TestProblemValidation:
         doc["machines"][0]["base_competition"] = 150.0
         with pytest.raises(InputError, match="^base_competition must lie in"):
             problem_from_dict(doc)
+
+
+@st.composite
+def small_problems(draw):
+    """Random instances of at most 6 VNFs on at most 3 machines, both families."""
+    profiles = st.one_of(
+        st.builds(LinearProfile, st.floats(5.0, 12.0), st.floats(-0.1, 0.2)),
+        st.builds(NRootProfile, st.floats(5.0, 12.0), st.floats(-1.0, 2.0), st.integers(2, 6)),
+    )
+    machines = tuple(
+        Machine(f"m{i}", profile, base_competition=base)
+        for i, (profile, base) in enumerate(
+            draw(st.lists(st.tuples(profiles, st.floats(0.0, 60.0)), min_size=1, max_size=3))
+        )
+    )
+    slices = tuple(f"s{i}" for i in range(draw(st.integers(1, 3))))
+    vnfs = tuple(
+        Vnf(f"f{j}", share, slice_id)
+        for j, (share, slice_id) in enumerate(
+            draw(st.lists(st.tuples(st.floats(1.0, 40.0), st.sampled_from(slices)), max_size=6))
+        )
+    )
+    return PlacementProblem(machines=machines, vnfs=vnfs, slices=slices)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_problems())
+def test_exhaustive_total_never_exceeds_a_feasible_greedy_total(problem):
+    greedy = place_greedy(problem)
+    if greedy.feasible:
+        exhaustive = place_exhaustive(problem)
+        assert exhaustive.feasible
+        assert exhaustive.total_power <= greedy.total_power

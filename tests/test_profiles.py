@@ -59,6 +59,13 @@ class TestEvaluate:
         assert all(b > a for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("function", [evaluate, derivative])
+@pytest.mark.parametrize("profile", [LinearProfile(1.0, 2.0), NRootProfile(6.0, 1.2, 2)])
+def test_nan_competition_is_outside_the_domain(function, profile):
+    with pytest.raises(DomainError):
+        function(profile, math.nan)
+
+
 class TestDerivative:
     def test_linear_is_constant(self):
         prof = LinearProfile(9.0, 0.05)
@@ -240,5 +247,5 @@ class TestSerialization:
             profile_from_dict([1, 2, 3])
 
     def test_integer_beyond_the_float_range_rejected(self):
-        with pytest.raises(InputError, match="bad profile field"):
+        with pytest.raises(InputError, match="^a is an integer beyond the float range$"):
             profile_from_dict({"kind": "linear", "a": 10**400, "b": 0.05})

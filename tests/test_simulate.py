@@ -45,7 +45,7 @@ class TestConfig:
             {"baseline_load_q": True},
             {"baseline_load_q": 5.0, "cycles": 1.5},
             {"baseline_load_q": 5.0, "cycles": True},
-            {"baseline_load_q": 5.0, "cycles": 8.0},
+            {"baseline_load_q": 5.0, "cycles": "8"},
             {"baseline_load_q": 5.0, "seed": 1.5},
             {"baseline_load_q": 5.0, "seed": 1.5, "noise_sigma": 0.3},
             {"baseline_load_q": 5.0, "seed": False},
@@ -62,6 +62,10 @@ class TestConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             ProtocolConfig(**kwargs)
+
+    def test_integral_float_cycles_is_accepted(self):
+        cycles = ProtocolConfig(baseline_load_q=5.0, cycles=8.0).cycles
+        assert cycles == 8 and isinstance(cycles, int)
 
 
 class TestLevels:

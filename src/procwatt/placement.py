@@ -10,17 +10,20 @@ over slices.
 
 An assignment is infeasible when any VNF's faced competition exceeds
 100 minus its own share, i.e. the machine would be allocated past 100%.
+A VNF's watts depend only on its machine and the set of VNFs sharing it, so
+the exact solver prices each (machine, VNF set) pair once and combines the
+prices by a subset dynamic program instead of scoring every assignment.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
 from .analysis import best_machine
 from .errors import InputError, SizeLimitError
-from .profiles import PowerProfile, _document, _store, evaluate, profile_from_dict
+from .profiles import PowerProfile, _document, _number, _store, evaluate, profile_from_dict
 
 MAX_EXHAUSTIVE_VNFS = 8
 MAX_EXHAUSTIVE_MACHINES = 4
@@ -108,6 +111,19 @@ class PlacementResult:
     feasible: bool
 
 
+def _faced(machine: Machine, hosted, vnf_id: str) -> float:
+    """Base load plus the shares of the id-sorted hosted VNFs other than vnf_id."""
+    return machine.base_competition + sum(v.cpu_share for v in hosted if v.id != vnf_id)
+
+
+def _hosted_power(machine: Machine, hosted):
+    """Watts of each id-sorted VNF in hosted on machine, and whether they fit."""
+    load = machine.base_competition
+    for v in hosted:
+        load += v.cpu_share
+    return [evaluate(machine.profile, _faced(machine, hosted, v.id)) for v in hosted], load <= 100.0
+
+
 def faced_competition(
     problem: PlacementProblem, assignment: Mapping[str, str], vnf_id: str
 ) -> float:
@@ -121,12 +137,9 @@ def faced_competition(
         machine_id = assignment[vnf.id]
     except KeyError:
         raise InputError(f"vnf {vnf_id!r} is not assigned") from None
-    machine = problem.machine(machine_id)
-    return machine.base_competition + sum(
-        v.cpu_share
-        for v in sorted(problem.vnfs, key=lambda v: v.id)
-        if v.id != vnf_id and assignment.get(v.id) == machine_id
-    )
+    hosted = [v for v in sorted(problem.vnfs, key=lambda v: v.id)
+              if assignment.get(v.id) == machine_id]
+    return _faced(problem.machine(machine_id), hosted, vnf_id)
 
 
 def vnf_power(
@@ -150,18 +163,11 @@ def evaluate_assignment(
     vnfs = sorted(problem.vnfs, key=lambda v: v.id)
     if set(assignment) != {v.id for v in vnfs}:
         raise InputError("assignment must cover every vnf exactly once")
-
-    load = {m.id: m.base_competition for m in problem.machines}
+    hosted: Dict[str, list] = {}
     for v in vnfs:
-        machine_id = assignment[v.id]
-        if machine_id not in load:
-            raise InputError(f"unknown machine id {machine_id!r}")
-        load[machine_id] += v.cpu_share
-    feasible = all(total <= 100.0 for total in load.values())
-
-    per_vnf: Dict[str, float] = {}
-    for v in vnfs:
-        per_vnf[v.id] = vnf_power(problem, assignment, v.id)
+        hosted.setdefault(assignment[v.id], []).append(v)
+    priced = [(group, *_hosted_power(problem.machine(m), group)) for m, group in hosted.items()]
+    per_vnf = dict(sorted((v.id, w) for group, watts, _ in priced for v, w in zip(group, watts)))
 
     per_slice: Dict[str, float] = {s: 0.0 for s in problem.slices}
     for v in vnfs:
@@ -175,7 +181,7 @@ def evaluate_assignment(
         per_vnf_power=per_vnf,
         per_slice_power=per_slice,
         total_power=total,
-        feasible=feasible,
+        feasible=all(fits for _, _, fits in priced),
     )
 
 
@@ -207,48 +213,82 @@ def place_greedy(problem: PlacementProblem) -> PlacementResult:
     return evaluate_assignment(problem, assignment)
 
 
+def _submasks(s: int):
+    """Every subset of the bit set s, from s down to 0."""
+    t = s
+    while t:
+        yield t
+        t = (t - 1) & s
+    yield 0
+
+
 def place_exhaustive(
     problem: PlacementProblem,
     max_vnfs: int = MAX_EXHAUSTIVE_VNFS,
     max_machines: int = MAX_EXHAUSTIVE_MACHINES,
 ) -> PlacementResult:
-    """Minimum-total-power assignment by full enumeration.
+    """Minimum-total-power assignment, exact, by a subset dynamic program.
 
-    Enumerates every machines**vnfs assignment (ids in sorted order, so ties
-    resolve to the lexicographically smallest assignment vector) and keeps
-    the feasible one with the lowest total.  Infeasible candidates are
-    skipped; if nothing is feasible the cheapest infeasible configuration is
-    returned, flagged.  Instances beyond the size limits are refused.
+    With f_k(S) the watts of VNF set S on the k-th machine in id order,
+    g_k(S) = min over T in S of f_k(T) + g_{k+1}(S - T) takes machines * 3**vnfs
+    steps.  evaluate_assignment scores the assignments within rounding of the
+    optimum: the least total wins, ties to the smallest machine-id vector in
+    vnf-id order, as if all machines**vnfs were scored.  Sets that overfill a
+    machine are skipped; if nothing fits, the cheapest infeasible assignment
+    is returned, flagged.  Instances beyond the size limits are refused.
     """
-    if len(problem.vnfs) > max_vnfs:
-        raise SizeLimitError(
-            f"{len(problem.vnfs)} vnfs exceeds exhaustive limit {max_vnfs}"
-        )
-    if len(problem.machines) > max_machines:
-        raise SizeLimitError(
-            f"{len(problem.machines)} machines exceeds exhaustive limit {max_machines}"
-        )
+    for name, items, limit in (("vnfs", problem.vnfs, max_vnfs),
+                               ("machines", problem.machines, max_machines)):
+        limit = _number(f"max_{name}", limit, 0, integer=True)
+        if len(items) > limit:
+            raise SizeLimitError(f"{len(items)} {name} exceeds exhaustive limit {limit}")
     if not problem.machines and problem.vnfs:
         raise InputError("no machines to place on")
 
-    vnf_ids = [v.id for v in sorted(problem.vnfs, key=lambda v: v.id)]
-    machine_ids = sorted(m.id for m in problem.machines)
-    if not vnf_ids:
+    vnfs = sorted(problem.vnfs, key=lambda v: v.id)
+    machines = sorted(problem.machines, key=lambda m: m.id)
+    if not vnfs:
         return evaluate_assignment(problem, {})
+    # f_k(S) for every VNF set S (bit i: vnfs[i]); on the capacity pass, inf if S overfills
+    full, last = (1 << len(vnfs)) - 1, len(machines) - 1
+    sets = [[v for i, v in enumerate(vnfs) if s >> i & 1] for s in range(full + 1)]
+    priced = [[_hosted_power(m, hosted) for hosted in sets] for m in machines]
+    for capacity in (True, False):
+        cost = [[sum(watts) if fits or not capacity else math.inf for watts, fits in row]
+                for row in priced]
+        g = [None] * last + [cost[last]]
+        for k in range(last - 1, -1, -1):
+            f, after = cost[k], g[k + 1]
+            g[k] = [min(f[t] + after[s ^ t] for t in _submasks(s)) if k or s == full else None
+                    for s in range(full + 1)]
+        if g[0][full] < math.inf:
+            break
 
-    best = None
-    best_infeasible = None
-    for combo in itertools.product(machine_ids, repeat=len(vnf_ids)):
-        result = evaluate_assignment(problem, dict(zip(vnf_ids, combo)))
-        if result.feasible:
-            if best is None or result.total_power < best.total_power:
-                best = result
-        elif best is None and (
-            best_infeasible is None
-            or result.total_power < best_infeasible.total_power
-        ):
-            best_infeasible = result
-    return best if best is not None else best_infeasible
+    # evaluate_assignment (per slice) and the DP (per machine) each add the same
+    # V watts in V - 1 roundings, within V*u*W of their exact sum (u = 2**-53,
+    # W = V*max|w|).  So the pick lies at most 4*V*u*W above the DP optimum;
+    # 4*(V + 1)*u*W also covers the threshold's own rounding (under 2*u*W).
+    top = max(abs(w) for row in priced for watts, _ in row for w in watts)
+    threshold = g[0][full] + 4 * (len(vnfs) + 1) * 2.0**-53 * len(vnfs) * top
+
+    # each split (T_0, ..., T_last) whose DP-nested total is not above threshold (or NaN)
+    splits, stack = [], [(full, ())]
+    while stack:
+        rest, chosen = stack.pop()  # chosen: (T_j, f_j(T_j)) for each machine j < k
+        k = len(chosen)
+        if k == last:
+            splits.append([t for t, _ in chosen] + [rest])
+        else:
+            for t in _submasks(rest):
+                total = cost[k][t] + g[k + 1][rest ^ t]
+                for _, c in reversed(chosen):
+                    total = c + total
+                if not total > threshold:
+                    stack.append((rest ^ t, chosen + ((t, cost[k][t]),)))
+
+    results = [evaluate_assignment(problem, {v.id: machines[k].id for k, t in enumerate(split)
+                                             for v in sets[t]}) for split in splits]
+    return min(results, key=lambda r: (r.total_power, tuple(r.assignment.values())))
 
 
 def problem_from_dict(data: dict) -> PlacementProblem:

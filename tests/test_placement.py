@@ -1,5 +1,9 @@
 import itertools
+import json
 import math
+import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,12 +21,14 @@ from procwatt import (
     find_crossovers,
     place_exhaustive,
     place_greedy,
+    placement,
     problem_from_dict,
     problem_to_dict,
     slice_power,
     vnf_power,
 )
 from procwatt.errors import InputError, SizeLimitError
+from procwatt.profiles import evaluate
 
 
 def two_by_two():
@@ -444,3 +450,132 @@ def test_exhaustive_total_never_exceeds_a_feasible_greedy_total(problem):
         exhaustive = place_exhaustive(problem)
         assert exhaustive.feasible
         assert exhaustive.total_power <= greedy.total_power
+
+
+def reference_evaluate_assignment(problem, assignment):
+    """The original evaluate_assignment: per-VNF lookups, shares summed in id order."""
+    vnfs = sorted(problem.vnfs, key=lambda v: v.id)
+    load = {m.id: m.base_competition for m in problem.machines}
+    for v in vnfs:
+        load[assignment[v.id]] += v.cpu_share
+    per_vnf = {}
+    for v in vnfs:
+        machine = problem.machine(assignment[v.id])
+        faced = machine.base_competition + sum(
+            o.cpu_share for o in vnfs if o.id != v.id and assignment.get(o.id) == machine.id
+        )
+        per_vnf[v.id] = evaluate(machine.profile, faced)
+    per_slice = {s: 0.0 for s in problem.slices}
+    for v in vnfs:
+        per_slice[v.slice_id] += per_vnf[v.id]
+    total = 0.0
+    for s in problem.slices:
+        total += per_slice[s]
+    return placement.PlacementResult(
+        assignment={v.id: assignment[v.id] for v in vnfs},
+        per_vnf_power=per_vnf,
+        per_slice_power=per_slice,
+        total_power=total,
+        feasible=all(x <= 100.0 for x in load.values()),
+    )
+
+
+def reference_place_exhaustive(problem):
+    """The original solver: every machines**vnfs assignment in lexicographic
+    order, the first strictly cheapest feasible one kept, else the first
+    strictly cheapest infeasible one."""
+    vnf_ids = [v.id for v in sorted(problem.vnfs, key=lambda v: v.id)]
+    machine_ids = sorted(m.id for m in problem.machines)
+    if not vnf_ids:
+        return reference_evaluate_assignment(problem, {})
+    best = None
+    best_infeasible = None
+    for combo in itertools.product(machine_ids, repeat=len(vnf_ids)):
+        result = reference_evaluate_assignment(problem, dict(zip(vnf_ids, combo)))
+        if result.feasible:
+            if best is None or result.total_power < best.total_power:
+                best = result
+        elif best is None and (
+            best_infeasible is None
+            or result.total_power < best_infeasible.total_power
+        ):
+            best_infeasible = result
+    return best if best is not None else best_infeasible
+
+
+def result_json(result):
+    return json.dumps(placement.result_to_dict(result))
+
+
+# exact binary fractions: loads that sum to exactly 100.0 and shares that tie
+EXACT_SHARES = (6.25, 12.5, 25.0, 37.5, 50.0)
+EXACT_BASES = (0.0, 25.0, 50.0, 75.0)
+
+
+@st.composite
+def dp_problems(draw):
+    """At most 6 VNFs on at most 3 machines, or 4 VNFs on 4: non-monotone
+    and negative-watt profiles, overfull and exactly full machines, machines
+    that share a profile and base load, and equal shares."""
+    n_machines = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.one_of(
+        st.builds(LinearProfile, st.floats(-10.0, 12.0), st.floats(-0.3, 0.3)),
+        st.builds(NRootProfile, st.floats(-10.0, 12.0), st.floats(-3.0, 3.0), st.integers(2, 6)),
+    ), min_size=1, max_size=n_machines))
+    bases = st.one_of(st.sampled_from(EXACT_BASES), st.floats(0.0, 90.0))
+    machines = tuple(
+        Machine(f"m{k}", draw(st.sampled_from(pool)), base_competition=draw(bases))
+        for k in range(n_machines)
+    )
+    slices = tuple(f"s{i}" for i in range(draw(st.integers(1, 3))))
+    shares = st.one_of(st.sampled_from(EXACT_SHARES), st.floats(1.0, 70.0))
+    vnfs = tuple(
+        Vnf(f"f{j}", draw(shares), draw(st.sampled_from(slices)))
+        for j in range(draw(st.integers(0, 4 if n_machines == 4 else 6)))
+    )
+    return PlacementProblem(machines=machines, vnfs=vnfs, slices=slices)
+
+
+@settings(max_examples=500, deadline=None)
+@given(dp_problems())
+def test_dp_matches_the_original_enumerator_byte_for_byte(problem):
+    assert result_json(place_exhaustive(problem)) == result_json(reference_place_exhaustive(problem))
+
+
+ROOT = NRootProfile(7.0, -0.8, 3)
+
+
+@pytest.mark.parametrize("profiles, bases, shares, feasible", [
+    ((ROOT, ROOT), (0.0, 0.0), (25.0, 25.0, 25.0, 25.0), True),
+    ((ROOT, ROOT), (50.0, 50.0), (25.0, 25.0, 25.0, 25.0), True),
+    ((ROOT, ROOT), (0.0, 50.0), (60.0, 60.0, 60.0), False),
+    ((LinearProfile(1e308, 1e308), LinearProfile(-1e308, -1e308)), (0.0, 0.0), (10.0,) * 3, True),
+    ((LinearProfile(1e308, 0.0), LinearProfile(1e308, 0.0)), (0.0, 0.0), (10.0,) * 3, True),
+], ids=["identical machines, equal shares", "both machines exactly full", "nothing fits",
+        "+inf and -inf watts", "sums past the float range"])
+def test_dp_matches_the_original_enumerator_on_edge_instances(profiles, bases, shares, feasible):
+    problem = PlacementProblem(
+        machines=tuple(Machine(f"m{k}", p, base_competition=b)
+                       for k, (p, b) in enumerate(zip(profiles, bases))),
+        vnfs=tuple(Vnf(f"f{j}", share, "s1") for j, share in enumerate(shares)),
+        slices=("s1",),
+    )
+    result = place_exhaustive(problem)
+    assert result.feasible is feasible
+    assert result_json(result) == result_json(reference_place_exhaustive(problem))
+
+
+def test_dp_scores_a_handful_of_candidates_on_a_benchmark_instance(monkeypatch):
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        from workloads import placement_doc
+    finally:
+        sys.path.pop(0)
+    problem = problem_from_dict(placement_doc(random.Random(3), 5))
+    assert (len(problem.vnfs), len(problem.machines)) == (8, 4)
+    calls = []
+    original = placement.evaluate_assignment
+    monkeypatch.setattr(placement, "evaluate_assignment",
+                        lambda *a: calls.append(1) or original(*a))
+    place_exhaustive(problem)
+    assert 1 <= len(calls) <= 16  # enumeration scores all 4**8 = 65,536

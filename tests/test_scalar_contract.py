@@ -28,6 +28,7 @@ from procwatt import (
     fit_linear,
     fit_nroot,
     machine_power,
+    place_exhaustive,
     points_from_samples,
     problem_from_dict,
     problem_to_dict,
@@ -42,6 +43,9 @@ POINTS = points_from_samples(TraceSamples([0.0, 1.0, 2.0, 3.0], [0.0, 10.0, 20.0
                                           [5.0, 6.0, 7.0, 9.0]))
 REPORTS = (fit_linear(POINTS), fit_nroot(POINTS))
 SAMPLES = TraceSamples([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [1.0, 2.0, 3.0])
+# nothing to place, so no size limit >= 0 is exceeded
+EMPTY = PlacementProblem((), (), ())
+ONE = PlacementProblem((Machine("m", LIN),), (Vnf("v", 5.0, "s"),), ("s",))
 CONFIG_FIELDS = ("noise_sigma", "seed", "start_pct", "step_pct", "dwell_seconds",
                  "sample_interval_seconds", "cycles")
 
@@ -92,6 +96,9 @@ FIELDS = [
     ("fit_nroot.n_grid", "integer", InputError, lambda v: fit_nroot(POINTS, n_grid=[v]).profile.n),
     ("select_model.tie_tolerance", None, InputError,
      lambda v: select_model(*REPORTS, tie_tolerance=v)),
+    ("place_exhaustive.max_vnfs", None, InputError, lambda v: place_exhaustive(EMPTY, max_vnfs=v)),
+    ("place_exhaustive.max_machines", None, InputError,
+     lambda v: place_exhaustive(EMPTY, max_machines=v)),
 ]
 
 
@@ -123,8 +130,11 @@ def test_each_field_stores_its_value_or_raises_its_error(field, kind, error, bui
         (lambda: LinearProfile(10**400, 0.0), "a"),
         (lambda: Machine(5, LIN), "machine id"),
         (lambda: Vnf("v", 5.0, None), "slice_id"),
+        (lambda: place_exhaustive(ONE, max_vnfs=math.nan), "max_vnfs"),
+        (lambda: place_exhaustive(ONE, max_machines="4"), "max_machines"),
     ],
-    ids=["p_max string", "a beyond the float range", "numeric machine id", "null slice id"],
+    ids=["p_max string", "a beyond the float range", "numeric machine id", "null slice id",
+         "NaN vnf limit", "string machine limit"],
 )
 def test_former_escapes_raise_input_error_naming_the_field(build, field):
     with pytest.raises(InputError, match=f"^{field} "):

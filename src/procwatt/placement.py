@@ -10,9 +10,8 @@ over slices.
 
 An assignment is infeasible when any VNF's faced competition exceeds
 100 minus its own share, i.e. the machine would be allocated past 100%.
-A VNF's watts depend only on its machine and the set of VNFs sharing it, so
-the exact solver prices each (machine, VNF set) pair once and combines the
-prices by a subset dynamic program instead of scoring every assignment.
+A VNF's watts depend only on its machine and the VNFs sharing it, so the exact
+solver prices each (machine, VNF set) pair once and combines them by subset DP.
 """
 
 from __future__ import annotations
@@ -215,11 +214,24 @@ def place_greedy(problem: PlacementProblem) -> PlacementResult:
 
 def _submasks(s: int):
     """Every subset of the bit set s, from s down to 0."""
-    t = s
+    yield (t := s)
     while t:
-        yield t
-        t = (t - 1) & s
-    yield 0
+        yield (t := (t - 1) & s)
+
+
+def _splits(f, g, threshold):
+    """Each split that fits and whose running DP total is within threshold, as machine indexes."""
+    last, full = len(f) - 1, len(f[0]) - 1
+    stack = [(0, full, 0.0, (last,) * full.bit_length())]
+    while stack:
+        k, rest, spent, owner = stack.pop()  # rest: the VNFs left for machines k..last
+        if k == last:
+            yield owner
+            continue
+        for t in _submasks(rest):  # spent: f_0(T_0) + ... + f_{k-1}(T_{k-1})
+            if spent + (f[k][t] + g[k + 1][rest ^ t]) <= threshold:
+                stack.append((k + 1, rest ^ t, spent + f[k][t],
+                              tuple(k if t >> i & 1 else j for i, j in enumerate(owner))))
 
 
 def place_exhaustive(
@@ -229,13 +241,12 @@ def place_exhaustive(
 ) -> PlacementResult:
     """Minimum-total-power assignment, exact, by a subset dynamic program.
 
-    With f_k(S) the watts of VNF set S on the k-th machine in id order,
-    g_k(S) = min over T in S of f_k(T) + g_{k+1}(S - T) takes machines * 3**vnfs
-    steps.  evaluate_assignment scores the assignments within rounding of the
-    optimum: the least total wins, ties to the smallest machine-id vector in
-    vnf-id order, as if all machines**vnfs were scored.  Sets that overfill a
-    machine are skipped; if nothing fits, the cheapest infeasible assignment
-    is returned, flagged.  Instances beyond the size limits are refused.
+    With f_k(S) the watts of VNF set S on the k-th machine in id order, g_k(S) =
+    min over T in S of f_k(T) + g_{k+1}(S - T) takes machines * 3**vnfs steps.
+    The assignments within rounding of the optimum are scored as enumeration
+    would: the least total wins, ties to the smallest machine-id vector in vnf-id
+    order.  If nothing fits, the cheapest infeasible assignment is returned,
+    flagged.  Instances beyond the size limits are refused.
     """
     for name, items, limit in (("vnfs", problem.vnfs, max_vnfs),
                                ("machines", problem.machines, max_machines)):
@@ -249,46 +260,35 @@ def place_exhaustive(
     machines = sorted(problem.machines, key=lambda m: m.id)
     if not vnfs:
         return evaluate_assignment(problem, {})
-    # f_k(S) for every VNF set S (bit i: vnfs[i]); on the capacity pass, inf if S overfills
-    full, last = (1 << len(vnfs)) - 1, len(machines) - 1
-    sets = [[v for i, v in enumerate(vnfs) if s >> i & 1] for s in range(full + 1)]
-    priced = [[_hosted_power(m, hosted) for hosted in sets] for m in machines]
+    # each VNF set S (bit i: vnfs[i]) priced on the k-th machine
+    n, last = len(vnfs), len(machines) - 1
+    full = (1 << n) - 1
+    priced = [[_hosted_power(m, [v for i, v in enumerate(vnfs) if s >> i & 1])
+               for s in range(full + 1)] for m in machines]
+    # Every order of adding the n watts (per slice, per machine, along the walk) is within
+    # n*u*W of their exact sum (u = 2**-53, W = n*max|w| bounds each partial sum), so the
+    # pick walks within 4*(n + 1)*u*W of the optimum.  Unless 2*W is finite, sums may
+    # overflow or be NaN: then each set that fits costs 0, and every split that fits is kept.
+    bound = n * max(abs(w) for row in priced for watts, _ in row for w in watts)
+    finite = 2 * bound < math.inf
     for capacity in (True, False):
-        cost = [[sum(watts) if fits or not capacity else math.inf for watts, fits in row]
-                for row in priced]
-        g = [None] * last + [cost[last]]
+        # f_k(S), inf only if S overfills the machine on this pass; g_k(S), the least
+        # DP total of the splits of S onto machines k.., inf if none fits
+        f = [[(sum(watts) if finite else 0.0) if ok or not capacity else math.inf
+              for watts, ok in row] for row in priced]
+        g = [None] * last + [f[last]]
         for k in range(last - 1, -1, -1):
-            f, after = cost[k], g[k + 1]
-            g[k] = [min(f[t] + after[s ^ t] for t in _submasks(s)) if k or s == full else None
+            fk, after = f[k], g[k + 1]
+            g[k] = [min(fk[t] + after[s ^ t] for t in _submasks(s)) if k or s == full else None
                     for s in range(full + 1)]
         if g[0][full] < math.inf:
             break
 
-    # evaluate_assignment (per slice) and the DP (per machine) each add the same
-    # V watts in V - 1 roundings, within V*u*W of their exact sum (u = 2**-53,
-    # W = V*max|w|).  So the pick lies at most 4*V*u*W above the DP optimum;
-    # 4*(V + 1)*u*W also covers the threshold's own rounding (under 2*u*W).
-    top = max(abs(w) for row in priced for watts, _ in row for w in watts)
-    threshold = g[0][full] + 4 * (len(vnfs) + 1) * 2.0**-53 * len(vnfs) * top
-
-    # each split (T_0, ..., T_last) whose DP-nested total is not above threshold (or NaN)
-    splits, stack = [], [(full, ())]
-    while stack:
-        rest, chosen = stack.pop()  # chosen: (T_j, f_j(T_j)) for each machine j < k
-        k = len(chosen)
-        if k == last:
-            splits.append([t for t, _ in chosen] + [rest])
-        else:
-            for t in _submasks(rest):
-                total = cost[k][t] + g[k + 1][rest ^ t]
-                for _, c in reversed(chosen):
-                    total = c + total
-                if not total > threshold:
-                    stack.append((rest ^ t, chosen + ((t, cost[k][t]),)))
-
-    results = [evaluate_assignment(problem, {v.id: machines[k].id for k, t in enumerate(split)
-                                             for v in sets[t]}) for split in splits]
-    return min(results, key=lambda r: (r.total_power, tuple(r.assignment.values())))
+    owners = _splits(f, g, g[0][full] + 4 * (n + 1) * 2.0**-53 * bound if finite else 0.0)
+    if not finite:  # NaN totals compare false: score in enumeration order
+        owners = sorted(owners)
+    return min((evaluate_assignment(problem, {v.id: machines[j].id for v, j in zip(vnfs, owner)})
+                for owner in owners), key=lambda r: (r.total_power, tuple(r.assignment.values())))
 
 
 def problem_from_dict(data: dict) -> PlacementProblem:

@@ -28,7 +28,6 @@ from procwatt import (
     vnf_power,
 )
 from procwatt.errors import InputError, SizeLimitError
-from procwatt.profiles import evaluate
 
 
 def two_by_two():
@@ -66,15 +65,20 @@ def random_problem(rng, max_machines=3, max_vnfs=6):
     return PlacementProblem(machines=tuple(machines), vnfs=tuple(vnfs), slices=tuple(slices))
 
 
-def brute_force(problem):
-    """Independent enumerator: same contract, separately written arithmetic."""
+def reference_place_exhaustive(problem):
+    """The original solver's contract, enumerated with separately written
+    arithmetic: every machines**vnfs assignment in lexicographic order, the
+    first strictly cheapest feasible one kept, else the first strictly
+    cheapest of all (none then fits)."""
     machine_by_id = {m.id: m for m in problem.machines}
     vnf_ids = sorted(v.id for v in problem.vnfs)
     vnf_by_id = {v.id: v for v in problem.vnfs}
-    best_assignment, best_total = None, None
+    best, best_infeasible = None, None
     for combo in itertools.product(sorted(machine_by_id), repeat=len(vnf_ids)):
         assignment = dict(zip(vnf_ids, combo))
-        feasible = True
+        load = {m: machine_by_id[m].base_competition for m in machine_by_id}
+        for vid in vnf_ids:
+            load[assignment[vid]] += vnf_by_id[vid].cpu_share
         watts = {}
         for vid in vnf_ids:
             machine = machine_by_id[assignment[vid]]
@@ -83,25 +87,31 @@ def brute_force(problem):
                 for o in vnf_ids
                 if o != vid and assignment[o] == assignment[vid]
             )
-            if faced + vnf_by_id[vid].cpu_share > 100.0:
-                feasible = False
-                break
             profile = machine.profile
             if isinstance(profile, LinearProfile):
                 watts[vid] = profile.a + profile.b * faced
             else:
                 watts[vid] = profile.c + profile.d * faced ** (1.0 / profile.n)
-        if not feasible:
-            continue
         per_slice = {s: 0.0 for s in problem.slices}
         for vid in vnf_ids:
             per_slice[vnf_by_id[vid].slice_id] += watts[vid]
         total = 0.0
         for s in problem.slices:
             total += per_slice[s]
-        if best_total is None or total < best_total:
-            best_assignment, best_total = assignment, total
-    return best_assignment, best_total
+        candidate = (total, assignment, watts, per_slice)
+        if all(x <= 100.0 for x in load.values()):
+            if best is None or total < best[0]:
+                best = candidate
+        elif best is None and (best_infeasible is None or total < best_infeasible[0]):
+            best_infeasible = candidate
+    total, assignment, watts, per_slice = best or best_infeasible
+    return placement.PlacementResult(assignment, watts, per_slice, total, best is not None)
+
+
+def brute_force(problem):
+    """The reference's assignment and total."""
+    result = reference_place_exhaustive(problem)
+    return result.assignment, result.total_power
 
 
 def double_sum_total(problem, result):
@@ -452,57 +462,6 @@ def test_exhaustive_total_never_exceeds_a_feasible_greedy_total(problem):
         assert exhaustive.total_power <= greedy.total_power
 
 
-def reference_evaluate_assignment(problem, assignment):
-    """The original evaluate_assignment: per-VNF lookups, shares summed in id order."""
-    vnfs = sorted(problem.vnfs, key=lambda v: v.id)
-    load = {m.id: m.base_competition for m in problem.machines}
-    for v in vnfs:
-        load[assignment[v.id]] += v.cpu_share
-    per_vnf = {}
-    for v in vnfs:
-        machine = problem.machine(assignment[v.id])
-        faced = machine.base_competition + sum(
-            o.cpu_share for o in vnfs if o.id != v.id and assignment.get(o.id) == machine.id
-        )
-        per_vnf[v.id] = evaluate(machine.profile, faced)
-    per_slice = {s: 0.0 for s in problem.slices}
-    for v in vnfs:
-        per_slice[v.slice_id] += per_vnf[v.id]
-    total = 0.0
-    for s in problem.slices:
-        total += per_slice[s]
-    return placement.PlacementResult(
-        assignment={v.id: assignment[v.id] for v in vnfs},
-        per_vnf_power=per_vnf,
-        per_slice_power=per_slice,
-        total_power=total,
-        feasible=all(x <= 100.0 for x in load.values()),
-    )
-
-
-def reference_place_exhaustive(problem):
-    """The original solver: every machines**vnfs assignment in lexicographic
-    order, the first strictly cheapest feasible one kept, else the first
-    strictly cheapest infeasible one."""
-    vnf_ids = [v.id for v in sorted(problem.vnfs, key=lambda v: v.id)]
-    machine_ids = sorted(m.id for m in problem.machines)
-    if not vnf_ids:
-        return reference_evaluate_assignment(problem, {})
-    best = None
-    best_infeasible = None
-    for combo in itertools.product(machine_ids, repeat=len(vnf_ids)):
-        result = reference_evaluate_assignment(problem, dict(zip(vnf_ids, combo)))
-        if result.feasible:
-            if best is None or result.total_power < best.total_power:
-                best = result
-        elif best is None and (
-            best_infeasible is None
-            or result.total_power < best_infeasible.total_power
-        ):
-            best_infeasible = result
-    return best if best is not None else best_infeasible
-
-
 def result_json(result):
     return json.dumps(placement.result_to_dict(result))
 
@@ -515,12 +474,15 @@ EXACT_BASES = (0.0, 25.0, 50.0, 75.0)
 @st.composite
 def dp_problems(draw):
     """At most 6 VNFs on at most 3 machines, or 4 VNFs on 4: non-monotone
-    and negative-watt profiles, overfull and exactly full machines, machines
-    that share a profile and base load, and equal shares."""
+    and negative-watt profiles, watts near the float maximum, overfull and
+    exactly full machines, machines that share a profile and base load, and
+    equal shares."""
     n_machines = draw(st.integers(1, 4))
     pool = draw(st.lists(st.one_of(
         st.builds(LinearProfile, st.floats(-10.0, 12.0), st.floats(-0.3, 0.3)),
         st.builds(NRootProfile, st.floats(-10.0, 12.0), st.floats(-3.0, 3.0), st.integers(2, 6)),
+        st.builds(LinearProfile, st.sampled_from((-1e308, -0.9e308, 0.5e308, 1e308)),
+                  st.sampled_from((-1e307, -2e306, 0.0, 2e306, 1e307))),
     ), min_size=1, max_size=n_machines))
     bases = st.one_of(st.sampled_from(EXACT_BASES), st.floats(0.0, 90.0))
     machines = tuple(
@@ -551,14 +513,27 @@ ROOT = NRootProfile(7.0, -0.8, 3)
     ((ROOT, ROOT), (0.0, 50.0), (60.0, 60.0, 60.0), False),
     ((LinearProfile(1e308, 1e308), LinearProfile(-1e308, -1e308)), (0.0, 0.0), (10.0,) * 3, True),
     ((LinearProfile(1e308, 0.0), LinearProfile(1e308, 0.0)), (0.0, 0.0), (10.0,) * 3, True),
+    ((LinearProfile(100.0, -10.0), LinearProfile(0.0, 1e307)), (0.0, 0.0), (60.0, 60.0), True),
+    ((LinearProfile(1e308, 1e308), LinearProfile(-1e308, -1e308)), (10.0, 10.0), (60.0, 60.0),
+     True),
+    ((LinearProfile(-0.8755e308, 1.89e306),), (0.0,), (5.0, 5.0, 90.0), True),
+    ((LinearProfile(-0.8755e308, 1.89e306), LinearProfile(0.0, 0.0)), (0.0, 96.0),
+     (5.0, 5.0, 90.0), True),
+    ((LinearProfile(0.51, -0.13), LinearProfile(4.86, -0.19)), (0.0, 0.0),
+     (25.93, 25.0, 12.5, 25.0, 12.5), True),
+    ((LinearProfile(1e308, 1e307), LinearProfile(1e308, -1e307)), (25.0, 25.0),
+     (25.0, 26.48, 12.5, 25.0), True),
 ], ids=["identical machines, equal shares", "both machines exactly full", "nothing fits",
-        "+inf and -inf watts", "sums past the float range"])
+        "+inf and -inf watts", "sums past the float range", "inf watt on an overfull machine",
+        "NaN totals only where each machine fits", "machine sum overflows, slice sums do not",
+        "machine sum overflows, the other machine is full",
+        "machine and slice sums round apart", "NaN totals scored in enumeration order"])
 def test_dp_matches_the_original_enumerator_on_edge_instances(profiles, bases, shares, feasible):
     problem = PlacementProblem(
         machines=tuple(Machine(f"m{k}", p, base_competition=b)
                        for k, (p, b) in enumerate(zip(profiles, bases))),
-        vnfs=tuple(Vnf(f"f{j}", share, "s1") for j, share in enumerate(shares)),
-        slices=("s1",),
+        vnfs=tuple(Vnf(f"f{j}", share, f"s{j % 2}") for j, share in enumerate(shares)),
+        slices=("s0", "s1"),
     )
     result = place_exhaustive(problem)
     assert result.feasible is feasible

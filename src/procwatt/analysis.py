@@ -20,6 +20,7 @@ from .errors import InputError, NoThresholdError, ProfileKindError
 from .profiles import LinearProfile, NRootProfile, PowerProfile, _number, evaluate
 
 DEFAULT_SCAN_CELLS = 1024
+MAX_SCAN_CELLS = 10**6  # D is evaluated once per cell, in Python
 REFINE_TOLERANCE = 1e-6
 
 
@@ -108,13 +109,14 @@ def find_crossovers(
 
     A uniform grid scan (starting at the first positive grid point, which
     sidesteps the p = 0 derivative singularity) brackets each sign change and
-    bisection refines it to within 1e-6.  An empty crossover list is a valid
+    bisection refines it to within 1e-6.  cells, the grid's size, is an
+    integer in [1, MAX_SCAN_CELLS].  An empty crossover list is a valid
     outcome.  Sign intervals are evaluated at the midpoints of the stretches
     between consecutive crossovers.
     """
     _require_pair(lin, root)
     p_max = _number("p_max", p_max, 0)
-    cells = _number("cells", cells, 1, integer=True)
+    cells = _number("cells", cells, 1, MAX_SCAN_CELLS, integer=True)
 
     threshold: Optional[float]
     try:

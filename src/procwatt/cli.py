@@ -107,7 +107,7 @@ def cmd_crossover(args) -> None:
     root = _load_profile(args.nroot_profile)
     result = analysis.find_crossovers(lin, root, p_max=args.p_max, cells=args.cells)
 
-    def csv_text():
+    def csv_text():  # one row per scan cell: find_crossovers has bounded args.cells
         buf = io.StringIO()
         buf.write("competition_pct,linear_w,nroot_w,difference_w\n")
         for i in range(1, args.cells + 1):
@@ -228,7 +228,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cross.add_argument("linear_profile", help="linear profile JSON path")
     p_cross.add_argument("nroot_profile", help="n-root profile JSON path")
     p_cross.add_argument("--p-max", type=float, default=100.0)
-    p_cross.add_argument("--cells", type=int, default=analysis.DEFAULT_SCAN_CELLS)
+    p_cross.add_argument("--cells", type=int, default=analysis.DEFAULT_SCAN_CELLS,
+                         help=f"scan grid size, 1 to {analysis.MAX_SCAN_CELLS}")
     p_cross.add_argument("--plot-csv", help="also write plot-ready CSV to this path")
     p_cross.set_defaults(handler=cmd_crossover)
 

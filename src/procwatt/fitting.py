@@ -267,23 +267,22 @@ class AggregatedPoints(_Columns):
 def aggregate(samples: Iterable[TraceSample], bin_width: float = DEFAULT_BIN_WIDTH):
     """Bin samples by competition and summarize each bin.
 
-    Samples land in bin floor(competition / bin_width).  Member values are
-    sorted before reduction so the output is identical for any permutation of
-    the input.  Returns AggregatedPoints, one per bin, sorted by competition.
+    Samples land in bin floor(competition / bin_width), which never decreases
+    as competition grows, so after a stable sort by competition each bin is
+    one contiguous slice.  A bin's powers are sorted by value before reduction,
+    so the output is identical for any permutation of the input.  Returns
+    AggregatedPoints, one per bin, sorted by competition.
     """
     bin_width = _number("bin_width", bin_width, 0, open_lo=True)
     columns = TraceSamples.of(samples)
     if not len(columns):
         raise InsufficientDataError("no samples to aggregate")
-    keys = np.floor(columns.competition / bin_width)
-    # each bin is one contiguous slice, its competitions and powers each sorted
-    by_competition = np.lexsort((columns.competition, keys))
-    comps = columns.competition[by_competition]
-    powers = columns.power[np.lexsort((columns.power, keys))]
-    keys = keys[by_competition]
+    order = np.argsort(columns.competition, kind="stable")
+    comps, powers = columns.competition[order], columns.power[order]
+    keys = np.floor(comps / bin_width)
     starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]).tolist()
     bins = [
-        (np.mean(comps[lo:hi]), np.median(powers[lo:hi]), hi - lo, np.std(powers[lo:hi]))
+        (np.mean(comps[lo:hi]), np.median(member := np.sort(powers[lo:hi])), hi - lo, np.std(member))
         for lo, hi in zip(starts, starts[1:] + [keys.size])
     ]
     return AggregatedPoints(*zip(*bins))
@@ -292,14 +291,22 @@ def aggregate(samples: Iterable[TraceSample], bin_width: float = DEFAULT_BIN_WID
 def points_from_samples(samples: Iterable[TraceSample]) -> AggregatedPoints:
     """One unit-weight point per raw sample, for fitting without binning.
 
-    Points are ordered by (competition, power, t).
+    Points are ordered by (competition, power, t).  t breaks ties only between
+    rows that differ just in the sign of a zero; rows otherwise equal in value
+    are equal bit for bit, so without a -0.0 they are sorted by value alone.
     """
     columns = TraceSamples.of(samples)
     if not len(columns):
         raise InsufficientDataError("no samples")
-    order = np.lexsort((columns.t, columns.power, columns.competition))
-    counts, dispersions = np.ones(order.size, dtype=np.int64), np.zeros(order.size)
-    return AggregatedPoints(columns.competition[order], columns.power[order], counts, dispersions)
+    comps, powers = columns.competition, columns.power
+    if np.signbit(comps).any() or np.signbit(powers).any():
+        order = np.lexsort((columns.t, powers, comps))
+    else:
+        order = np.argsort(powers)
+        order = order[np.argsort(comps[order], kind="stable")]
+    ones, zeros = np.ones(order.size, dtype=np.int64), np.zeros(order.size)
+    # unchecked: the sample rules imply the point rules
+    return AggregatedPoints._of_checked((comps[order], powers[order], ones, zeros))
 
 
 @dataclass(frozen=True)

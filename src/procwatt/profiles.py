@@ -51,7 +51,9 @@ def _number(name, value, lo=None, hi=None, *, open_lo=False, open_hi=False, inte
         ):
             return int(value) if integer else number
     if integer:
-        rule = "must be an integer" + ("" if lo is None else f" >= {lo}")
+        rule = "must be an integer" + (
+            "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
+        )
     elif hi is not None:
         rule = f"must lie in {'(' if open_lo else '['}{lo}, {hi}{')' if open_hi else ']'}"
     elif lo is not None:

@@ -94,22 +94,32 @@ def generate_trace(config: ProtocolConfig, truth: PowerProfile) -> TraceFile:
 
     Sample count is exactly cycles * levels * floor(dwell/interval); power is
     evaluate(truth, level) plus seeded Gaussian noise, clamped at zero (with
-    noise_sigma = 0 the values equal the evaluation bit for bit).
+    noise_sigma = 0 the values equal the evaluation bit for bit).  A trace
+    whose columns this process cannot allocate raises ConfigError stating
+    the count.
     """
     levels = competition_levels(config)
     per_level = samples_per_level(config)
     cycle_size = levels.size * per_level
+    count = config.cycles * cycle_size
 
     level_power = np.array([evaluate(truth, float(lv)) for lv in levels])
-    t = np.arange(config.cycles * cycle_size, dtype=np.float64) * config.sample_interval_seconds
-    competition = np.tile(np.repeat(levels, per_level), config.cycles)
-    power = np.tile(np.repeat(level_power, per_level), config.cycles)
-    if config.noise_sigma > 0:
-        noise = np.concatenate(
-            [
-                _cycle_rng(config.seed, cycle).normal(0.0, config.noise_sigma, size=cycle_size)
-                for cycle in range(config.cycles)
-            ]
-        )
-        power = np.maximum(power + noise, 0.0)
-    return TraceFile(samples=TraceSamples(t, competition, power))
+    try:
+        t = np.arange(count, dtype=np.float64) * config.sample_interval_seconds
+        competition = np.tile(np.repeat(levels, per_level), config.cycles)
+        power = np.tile(np.repeat(level_power, per_level), config.cycles)
+        if config.noise_sigma > 0:
+            noise = np.concatenate(
+                [
+                    _cycle_rng(config.seed, cycle).normal(0.0, config.noise_sigma, size=cycle_size)
+                    for cycle in range(config.cycles)
+                ]
+            )
+            power = np.maximum(power + noise, 0.0)
+        samples = TraceSamples(t, competition, power)
+    except MemoryError:
+        raise ConfigError(
+            f"the protocol asks for {count} samples, {24 * count} bytes as three float64 "
+            "columns, more than this process can allocate"
+        ) from None
+    return TraceFile(samples=samples)

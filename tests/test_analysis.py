@@ -15,7 +15,7 @@ from procwatt import (
     evaluate,
     find_crossovers,
 )
-from procwatt.analysis import REFINE_TOLERANCE
+from procwatt.analysis import MAX_SCAN_CELLS, REFINE_TOLERANCE
 from procwatt.errors import InputError, NoThresholdError, ProfileKindError
 
 LIN = LinearProfile(8.0, 0.05)
@@ -186,6 +186,15 @@ class TestFindCrossovers:
     def test_wrong_kinds_rejected(self):
         with pytest.raises(ProfileKindError):
             find_crossovers(LIN, LIN, p_max=100.0)
+
+    @pytest.mark.parametrize("cells", [0, MAX_SCAN_CELLS + 1, 10**20])
+    def test_cells_outside_the_bound_rejected(self, cells):
+        with pytest.raises(InputError, match=rf"^cells must be an integer in \[1, {MAX_SCAN_CELLS}\]"):
+            find_crossovers(LIN, ROOT, p_max=100.0, cells=cells)
+
+    def test_cells_at_the_bound_accepted(self):
+        # p_max = 0 returns after the check, before the scan
+        assert find_crossovers(LIN, ROOT, p_max=0.0, cells=MAX_SCAN_CELLS).crossovers == ()
 
     def test_serialization_shape(self):
         doc = crossover_result_to_dict(find_crossovers(LIN, ROOT, p_max=100.0))

@@ -116,6 +116,29 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
 
+    def test_trace_beyond_the_address_space_exits_2(self, workdir):
+        # 1e8 cycles x 20 levels x 72 samples: 3.456e12 bytes of columns, refused by a
+        # 2 GB address-space limit on the child process alone
+        resource = pytest.importorskip("resource")
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        soft = 2 * 1024**3 if hard == resource.RLIM_INFINITY else min(2 * 1024**3, hard)
+
+        def cap_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "procwatt", "simulate", str(workdir / "linear.json"),
+             "--cycles", "100000000", "--out", str(workdir / "big.csv")],
+            capture_output=True, text=True, timeout=120, preexec_fn=cap_address_space,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "OPENBLAS_NUM_THREADS": "1"},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (
+            "error: the protocol asks for 144000000000 samples, 3456000000000 bytes as three "
+            "float64 columns, more than this process can allocate\n"
+        )
+        assert not (workdir / "big.csv").exists()
+
 
 class TestFit:
     def test_linear_trace_chooses_linear(self, workdir):
@@ -242,6 +265,13 @@ class TestCrossover:
         assert main(["crossover", str(workdir / "cross_linear.json"),
                      str(workdir / "nroot.json"), "--p-max", p_max]) == 2
         assert "p_max must be finite" in capsys.readouterr().err
+
+    def test_cells_beyond_the_bound_exit_2_naming_cells(self, workdir, capsys):
+        plot = workdir / "plot.csv"
+        assert main(["crossover", str(workdir / "cross_linear.json"), str(workdir / "nroot.json"),
+                     "--cells", str(10**20), "--plot-csv", str(plot)]) == 2
+        assert capsys.readouterr().err.startswith("error: cells must be an integer in [1, ")
+        assert not plot.exists()
 
 
 class TestPlace:

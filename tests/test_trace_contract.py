@@ -446,6 +446,71 @@ def test_aggregation_is_order_invariant_and_matches_reference(case, bin_width):
     assert points_from_samples(samples) == reference_points(samples)
 
 
+def lexsort_points(samples):
+    """points_from_samples by one indirect lexsort on (competition, power, t)."""
+    order = np.lexsort((samples.t, samples.power, samples.competition))
+    ones, zeros = np.ones(order.size, dtype=np.int64), np.zeros(order.size)
+    return AggregatedPoints(samples.competition[order], samples.power[order], ones, zeros)
+
+
+def lexsort_aggregate(samples, bin_width):
+    """aggregate by lexsorts on (bin, competition) and (bin, power)."""
+    keys = np.floor(samples.competition / bin_width)
+    by_competition = np.lexsort((samples.competition, keys))
+    comps = samples.competition[by_competition]
+    powers = samples.power[np.lexsort((samples.power, keys))]
+    keys = keys[by_competition]
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]).tolist()
+    bins = [
+        (np.mean(comps[lo:hi]), np.median(powers[lo:hi]), hi - lo, np.std(powers[lo:hi]))
+        for lo, hi in zip(starts, starts[1:] + [keys.size])
+    ]
+    return AggregatedPoints(*zip(*bins))
+
+
+@st.composite
+def repetitive_columns(draw, comp_values=competitions,
+                       power_values=st.one_of(st.sampled_from(SPECIAL), st.floats(0.0, 1e150))):
+    """(t, competition, power) rows drawn from small pools of values, both signs
+    of zero in both value columns when the draw says so, timestamps unsorted
+    and repeated, and up to a few thousand rows, where numpy sorts with SIMD
+    kernels."""
+    n = draw(st.sampled_from([1, 2, 3, 17, 200, 2048, 4099]))
+    zeros = [0.0, -0.0] if draw(st.booleans()) else []
+    comp_pool = draw(st.lists(comp_values, min_size=1, max_size=6)) + zeros
+    power_pool = draw(st.lists(power_values, min_size=1, max_size=6)) + zeros
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = rng.integers(0, max(1, n // 3), size=n).astype(np.float64)
+    return t, rng.choice(comp_pool, size=n), rng.choice(power_pool, size=n)
+
+
+def point_bytes(points):
+    return [col.tobytes() for col in (points.competition, points.power, points.count,
+                                      points.dispersion)]
+
+
+@CONTRACT
+@given(repetitive_columns(), st.sampled_from([5.0, 0.7, 33.0, 1e-3]))
+def test_sorts_by_value_match_the_lexsorts_bit_for_bit(cols, bin_width):
+    samples = TraceSamples(*cols)
+    # bytes, not ==, which would take -0.0 for 0.0
+    assert point_bytes(points_from_samples(samples)) == point_bytes(lexsort_points(samples))
+    assert point_bytes(aggregate(samples, bin_width)) == point_bytes(
+        lexsort_aggregate(samples, bin_width))
+
+
+@CONTRACT
+@given(repetitive_columns(st.one_of(competitions, st.floats()), st.one_of(powers, st.floats())))
+def test_raw_points_keep_the_point_rules(cols):
+    # points_from_samples builds its result unchecked: any trace the sample rules
+    # admit, out-of-range values included, must keep the point rules
+    try:
+        points = points_from_samples(TraceSamples(*cols))
+    except InputError:
+        return
+    assert all(mask.all() for _, mask, _ in AggregatedPoints._rules(*points._columns))
+
+
 # --- the TraceSamples sequence ---------------------------------------------
 
 

@@ -277,6 +277,8 @@ def aggregate(samples: Iterable[TraceSample], bin_width: float = DEFAULT_BIN_WID
     columns = TraceSamples.of(samples)
     if not len(columns):
         raise InsufficientDataError("no samples to aggregate")
+    if not math.isfinite(float(columns.competition.max()) / bin_width):
+        raise InputError(f"bin_width must keep max(competition) / bin_width finite, got {bin_width!r}")
     order = np.argsort(columns.competition, kind="stable")
     comps, powers = columns.competition[order], columns.power[order]
     keys = np.floor(comps / bin_width)
@@ -328,31 +330,27 @@ class FitReport:
     n_points: int
 
 
-def _ols(x: np.ndarray, y: np.ndarray):
-    """Closed-form simple regression y = intercept + slope*x for each row of x.
+def _ols(xs: Sequence[np.ndarray], y: np.ndarray):
+    """Closed-form simple regression y = intercept + slope*x for each 1-D column x in xs.
 
-    Returns the row with the least SSE (the first on ties) and its fit.
-    Every sum is a pairwise np.add.reduce over explicitly rounded products,
-    with no BLAS call, so the result does not depend on the thread count.
+    Each column is fitted in N-sized temporaries.  Returns the index of the
+    column with the least SSE (the first on ties) and its fit.  Every sum is a
+    pairwise np.add.reduce over explicitly rounded products, with no BLAS
+    call, so the result does not depend on the thread count.
     """
     n = y.size
     if n < 3:
         raise InsufficientDataError(f"need at least 3 points, got {n}")
-    x_bars = np.add.reduce(x, axis=1) / n
+    x_bars = [np.add.reduce(x) / n for x in xs]
     y_bar = np.add.reduce(y) / n
-    dx = x - x_bars[:, None]
     dy = y - y_bar
-    work = dx * dx  # one scratch buffer for the products and the residuals
-    sxxs = np.add.reduce(work, axis=1)
-    # zero when all values in a row are equal, or so close that dx*dx underflows
-    if not (sxxs > 0.0).all():
+    sxxs = [np.add.reduce(np.square(x - x_bar)) for x, x_bar in zip(xs, x_bars)]
+    # zero when all values in a column are equal, or so close that dx*dx underflows
+    if not all(sxx > 0.0 for sxx in sxxs):
         raise DegenerateDesignError("all competition values are equal (or too close to fit)")
-    slopes = np.add.reduce(np.multiply(dx, dy, out=work), axis=1) / sxxs
-    intercepts = y_bar - slopes * x_bars
-    np.multiply(slopes[:, None], x, out=work)
-    work += intercepts[:, None]
-    resid = np.subtract(y, work, out=work)
-    sses = np.add.reduce(np.multiply(resid, resid, out=work), axis=1)
+    slopes = [np.add.reduce((x - x_bar) * dy) / sxx for x, x_bar, sxx in zip(xs, x_bars, sxxs)]
+    intercepts = [y_bar - slope * x_bar for slope, x_bar in zip(slopes, x_bars)]
+    sses = [np.add.reduce(np.square(y - (b * x + a))) for x, b, a in zip(xs, slopes, intercepts)]
     row = int(np.argmin(sses))
     x_bar, sxx, sse = float(x_bars[row]), float(sxxs[row]), float(sses[row])
     sst = float(np.add.reduce(dy * dy))
@@ -374,7 +372,7 @@ def _ols(x: np.ndarray, y: np.ndarray):
 def fit_linear(points: Iterable[AggregatedPoint]) -> FitReport:
     """Fit W = a + b*p by ordinary least squares."""
     points = AggregatedPoints.of(points)
-    _, (a, b), report = _ols(points.competition[None, :], points.power)
+    _, (a, b), report = _ols([points.competition], points.power)
     return FitReport(profile=LinearProfile(a=a, b=b), **report)
 
 
@@ -389,8 +387,12 @@ def fit_nroot(points: Iterable[AggregatedPoint], n_grid=DEFAULT_N_GRID) -> FitRe
     if not n_grid:
         raise InputError("n_grid must be non-empty")
     points = AggregatedPoints.of(points)
-    design = np.array([points.competition ** (1.0 / n) for n in n_grid])
-    row, (c, d), report = _ols(design, points.power)
+    # one root per run of bitwise-equal competitions ((-0.0) ** 0.5 is -0.0), repeated over the run
+    bits = points.competition.view(np.uint64)
+    starts = np.flatnonzero(np.r_[True, bits[1:] != bits[:-1]])
+    levels, runs = points.competition[starts], np.diff(np.r_[starts, bits.size])
+    columns = [np.repeat(levels ** (1.0 / n), runs) for n in n_grid]
+    row, (c, d), report = _ols(columns, points.power)
     return FitReport(profile=NRootProfile(c=c, d=d, n=n_grid[row]), **report)
 
 

@@ -171,7 +171,10 @@ def integrate_energy(samples) -> float:
         Trapezoidal approximation of the integral of power over the span.
         Exact for piecewise-linear power.
     """
-    arr = np.asarray(list(samples) if not isinstance(samples, np.ndarray) else samples, dtype=float)
+    try:
+        arr = np.asarray(list(samples) if not isinstance(samples, np.ndarray) else samples, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"expected numeric (t, power) pairs: {exc}") from None
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise InputError(f"expected (t, power) pairs, got array of shape {arr.shape}")
     if arr.shape[0] < 2:

@@ -180,6 +180,13 @@ class TestFit:
     def test_missing_file_exits_2(self, workdir):
         assert main(["fit", str(workdir / "missing.csv")]) == 2
 
+    def test_bin_width_that_overflows_the_bin_keys_exits_2(self, workdir, capsys):
+        trace = simulate_trace(workdir)
+        capsys.readouterr()
+        assert main(["fit", str(trace), "--bin-width", "1e-310"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: bin_width must keep max(competition) / bin_width finite, got 1e-310\n"
+
     def test_failed_run_leaves_no_output_file(self, workdir):
         (workdir / "empty.csv").write_text("timestamp_s,competition_pct,power_w\n")
         out = workdir / "never.json"

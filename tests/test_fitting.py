@@ -64,6 +64,16 @@ class TestAggregate:
         with pytest.raises(InputError):
             aggregate([TraceSample(0.0, 5.0, 9.0)], bin_width=0.0)
 
+    def test_bin_width_that_overflows_the_bin_keys_rejected(self):
+        # 100 / 1e-310 is inf: every bin above 0 would share one "inf" key
+        samples = [TraceSample(float(i), 5.0 * (i % 20), 9.0) for i in range(40)]
+        assert len(aggregate(samples, bin_width=5.0)) == 20
+        with pytest.raises(InputError, match=r"^bin_width must keep max\(competition\) / bin_width "
+                                             r"finite, got 1e-310$"):
+            aggregate(samples, bin_width=1e-310)
+        assert len(aggregate(samples, bin_width=1e-306)) == 20
+        assert len(aggregate([TraceSample(0.0, 0.0, 9.0)], bin_width=1e-310)) == 1
+
     def test_output_sorted_by_competition(self):
         samples = [
             TraceSample(0.0, 40.0, 11.0),

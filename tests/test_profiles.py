@@ -141,6 +141,11 @@ class TestIntegrateEnergy:
             integrate_energy(whole), rel=1e-12
         )
 
+    @pytest.mark.parametrize("samples", [[(0, 1), (1,)], [("a", "b"), (1, 2)], 5])
+    def test_unconvertible_input_rejected(self, samples):
+        with pytest.raises(InputError, match=r"^expected numeric \(t, power\) pairs: "):
+            integrate_energy(samples)
+
     def test_accepts_ndarray(self):
         arr = np.array([[0.0, 5.0], [10.0, 5.0]])
         assert integrate_energy(arr) == 50.0

@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import tempfile
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -27,12 +27,12 @@ from . import analysis, fitting, placement, profiles, simulate, traceio
 from .errors import ConfigError, InputError, InsufficientDataError, ProcwattError
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".procwatt-")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -45,10 +45,10 @@ def _emit_report(args, json_doc: dict, csv_text: Callable[[], str]) -> None:
     to --out, or print JSON/CSV to stdout.  csv_text() builds the CSV; it is
     called only where the CSV is written."""
     if getattr(args, "plot_csv", None):
-        _atomic_write(args.plot_csv, csv_text())
+        _atomic_write(args.plot_csv, [csv_text()])
     text = json.dumps(json_doc, indent=2) + "\n"
     if args.out:
-        _atomic_write(args.out, text)
+        _atomic_write(args.out, [text])
     elif args.format == "csv":
         sys.stdout.write(csv_text())
     else:
@@ -169,12 +169,11 @@ def cmd_simulate(args) -> None:
     config = _config_from_args(args)
     truth = _load_profile(args.truth_profile)
     trace = simulate.generate_trace(config, truth)
-    text = traceio.trace_to_string(trace)
     if args.out:
-        _atomic_write(args.out, text)
+        _atomic_write(args.out, traceio._csv_chunks(trace.samples))
         print(f"{len(trace.samples)} samples written to {args.out}")
     else:
-        sys.stdout.write(text)
+        traceio.write_trace(trace, sys.stdout)
         print(f"{len(trace.samples)} samples", file=sys.stderr)
 
 

@@ -172,7 +172,9 @@ def integrate_energy(samples) -> float:
         Exact for piecewise-linear power.
     """
     try:
-        arr = np.asarray(list(samples) if not isinstance(samples, np.ndarray) else samples, dtype=float)
+        if not isinstance(samples, (list, tuple, np.ndarray)):
+            samples = list(samples)
+        arr = np.asarray(samples, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"expected numeric (t, power) pairs: {exc}") from None
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -183,13 +185,16 @@ def integrate_energy(samples) -> float:
         )
     t = arr[:, 0]
     power = arr[:, 1]
-    if np.any(~np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InputError("samples must be finite")
-    if np.any(np.diff(t) < 0):
+    steps = np.diff(t)
+    if (steps < 0).any():
         raise OrderingError("timestamps must not decrease")
-    if np.any(power < 0):
+    if (power < 0).any():
         raise DomainError("powers must be non-negative")
-    return float(np.sum(0.5 * np.diff(t) * (power[1:] + power[:-1])))
+    steps *= 0.5  # in place, the same IEEE ops in the same order as 0.5 * dt * (p1 + p0)
+    steps *= power[1:] + power[:-1]
+    return float(np.sum(steps))
 
 
 def profile_to_dict(profile: PowerProfile) -> dict:

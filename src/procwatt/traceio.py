@@ -4,10 +4,11 @@ The native schema is a header line ``timestamp_s,competition_pct,power_w``
 followed by one sample per line.  Numbers use a plain decimal point, no
 thousands separators, and are written with their shortest round-trip
 representation, so read(write(trace)) reproduces the trace value-exactly.
-Reading accepts LF and CRLF line ends and skips blank lines.  It parses the
-whole body column by column in one pass; when a line is bad, the first bad
-line's error carries its 1-based line number in the file, blank lines
-counted (and, for field errors, its column).  Nothing is silently truncated.
+Reading accepts LF and CRLF line ends and skips blank lines.  Reading and
+writing hold CHUNK_ROWS lines of text at a time, plus the columns, and parse
+chunk by chunk, column by column; when a line is bad, the first bad line's
+error carries its 1-based line number in the file, blank lines counted (and,
+for field errors, its column).  Nothing is silently truncated.
 
 External datasets with different column names or order can be ingested by
 passing a ``columns`` mapping from the canonical names to the names used in
@@ -18,8 +19,8 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import compress, repeat
-from typing import Mapping, Optional, Sequence, TextIO, Union
+from itertools import compress, islice, repeat
+from typing import Iterator, Mapping, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .errors import TraceFormatError, TraceParseError, TraceValidationError
 from .fitting import TraceSample, TraceSamples, _first_failure, _violation
 
 CANONICAL_COLUMNS = ("timestamp_s", "competition_pct", "power_w")
+CHUNK_ROWS = 8192  # lines read, or rows written, at a time
 
 
 @dataclass
@@ -109,24 +111,33 @@ def _read_stream(stream, columns) -> TraceFile:
                 )
             indices[name] = header.index(actual)
 
-    return TraceFile(samples=_parse_rows(stream.readlines(), len(header), indices))
+    chunks, first, last_t = [], 2, -np.inf
+    while lines := list(islice(stream, CHUNK_ROWS)):
+        chunks.append(_parse_rows(lines, len(header), indices, first, last_t))
+        first += len(lines)
+        t = chunks[-1][0]
+        last_t = t[-1] if t.size else last_t  # a chunk of blank lines carries it on
+    # the empty first parts make a header-only file three empty columns
+    columns = [np.concatenate(parts) for parts in zip((np.empty(0),) * 3, *chunks)]
+    return TraceFile(samples=TraceSamples._of_checked(columns))
 
 
-def _parse_rows(lines, width, indices) -> TraceSamples:
-    """Parse the lines after the header column by column, raising at the first bad one.
+def _parse_rows(lines, width, indices, first, last_t):
+    """Parse one chunk of lines into its three columns, raising at the first bad one.
 
-    Blank lines are skipped, but they keep their place in the line numbering.
-    A line is checked in this order: its field count; that each of
-    timestamp_s, competition_pct and power_w parses and is finite; the
-    TraceSamples rules; and that its timestamp does not decrease.
+    The chunk starts at line ``first``, after a sample at time ``last_t`` (-inf
+    for the first chunk).  Blank lines are skipped, but they keep their place
+    in the line numbering.  A line is checked in this order: its field count;
+    that each of timestamp_s, competition_pct and power_w parses and is
+    finite; the TraceSamples rules; and that its timestamp does not decrease.
     """
-    numbers = range(2, len(lines) + 2)
+    numbers = range(first, first + len(lines))
     commas = list(map(str.count, lines, repeat(",")))
     fit = np.ones(len(lines), bool)
     # a blank line has no comma, so it has the right count only in a one-column file
     if width == 1 or commas.count(width - 1) != len(lines):
         kept = ~np.fromiter(map(str.isspace, lines), bool, len(lines))
-        numbers, commas = np.flatnonzero(kept) + 2, np.array(commas)[kept]
+        numbers, commas = np.flatnonzero(kept) + first, np.array(commas)[kept]
         lines, fit = list(compress(lines, kept)), commas == width - 1
         # a line of the wrong width fails first, so empty fields can stand in for it
         for row in np.flatnonzero(~fit).tolist():
@@ -144,10 +155,11 @@ def _parse_rows(lines, width, indices) -> TraceSamples:
         columns.append(column)
     t = columns[0]
     checks += TraceSamples._rules(*columns)
-    checks.append(("timestamp_s", t >= np.r_[t[:1], t[:-1]], "order"))
+    previous = np.r_[last_t, t][:-1]
+    checks.append(("timestamp_s", t >= previous, "order"))
     failure = _first_failure(checks)
     if failure is None:
-        return TraceSamples._of_checked(columns)
+        return columns
     row, check = failure
     name, _, rule = check
     line = int(numbers[row])
@@ -159,7 +171,7 @@ def _parse_rows(lines, width, indices) -> TraceSamples:
         raise TraceParseError(f"cannot parse {name} from {raw[name][row]!r}", line, column)
     if rule == "order":
         raise TraceValidationError(
-            f"timestamp {t[row].item()!r} decreases (previous {t[row - 1].item()!r})", line
+            f"timestamp {t[row].item()!r} decreases (previous {previous[row].item()!r})", line
         )
     values = {**raw, **dict(zip(TraceSamples._fields, columns))}
     raise TraceValidationError(_violation(check, values[name][row]), line)
@@ -190,20 +202,27 @@ def _number(field):
 
 
 def write_trace(trace: TraceFile, sink: Union[str, os.PathLike, TextIO]) -> None:
-    """Write the canonical CSV form of a trace.
+    """Write the canonical CSV form of a trace, CHUNK_ROWS rows at a time.
 
     Floats are rendered with repr, the shortest digits that parse back to the
     identical double, so a write/read cycle is the identity.
     """
-    text = trace_to_string(trace)
+    chunks = _csv_chunks(TraceSamples.of(trace.samples))  # checked before the sink is opened
     if isinstance(sink, (str, os.PathLike)):
         with open(sink, "w", encoding="utf-8", newline="") as stream:
-            stream.write(text)
+            stream.writelines(chunks)
     else:
-        sink.write(text)
+        sink.writelines(chunks)
 
 
 def trace_to_string(trace: TraceFile) -> str:
-    samples = TraceSamples.of(trace.samples)
-    columns = [map(repr, col.tolist()) for col in (samples.t, samples.competition, samples.power)]
-    return "\n".join([",".join(CANONICAL_COLUMNS), *map(",".join, zip(*columns))]) + "\n"
+    return "".join(_csv_chunks(TraceSamples.of(trace.samples)))
+
+
+def _csv_chunks(samples: TraceSamples) -> Iterator[str]:
+    """The header line, then the CSV text of each CHUNK_ROWS rows of ``samples``."""
+    yield ",".join(CANONICAL_COLUMNS) + "\n"
+    columns = (samples.t, samples.competition, samples.power)
+    for start in range(0, len(samples), CHUNK_ROWS):
+        fields = [map(repr, col[start : start + CHUNK_ROWS].tolist()) for col in columns]
+        yield "\n".join(map(",".join, zip(*fields))) + "\n"

@@ -7,9 +7,11 @@ import pytest
 from procwatt import (
     LinearProfile,
     NRootProfile,
+    ProtocolConfig,
     ReferenceMachineModel,
     derivative,
     evaluate,
+    generate_trace,
     integrate_energy,
     machine_power,
     profile_from_dict,
@@ -149,6 +151,17 @@ class TestIntegrateEnergy:
     def test_accepts_ndarray(self):
         arr = np.array([[0.0, 5.0], [10.0, 5.0]])
         assert integrate_energy(arr) == 50.0
+
+    @pytest.mark.parametrize("truth", [LinearProfile(9.75, 0.055), NRootProfile(7.0, 1.5, 3)])
+    def test_matches_the_one_expression_formula_bit_for_bit(self, truth):
+        """On a campaign-sized trace (115,200 samples), as pairs, as an array and as an iterator."""
+        config = ProtocolConfig(baseline_load_q=5.0, noise_sigma=0.3, seed=1, cycles=80)
+        samples = generate_trace(config, truth).samples
+        t, power = samples.t, samples.power
+        want = float(np.sum(0.5 * np.diff(t) * (power[1:] + power[:-1])))
+        pairs = list(zip(t.tolist(), power.tolist()))
+        for given in (pairs, tuple(pairs), np.column_stack((t, power)), iter(pairs)):
+            assert integrate_energy(given).hex() == want.hex()
 
 
 class TestMachinePower:

@@ -45,6 +45,7 @@ from procwatt import (
     selection_to_dict,
     trace_to_string,
     traceio,
+    write_trace,
 )
 from procwatt.errors import InputError, ProcwattError, TraceParseError, TraceValidationError
 from procwatt.simulate import _cycle_rng
@@ -397,6 +398,95 @@ def outcome(read, text, columns):
 def test_bulk_parse_agrees_with_line_by_line(case):
     text, columns = case
     assert outcome(read_trace, text, columns) == outcome(reference_read, text, columns)
+
+
+# --- chunk boundaries: the same properties with CHUNK_ROWS patched small ------
+
+
+def chunked(rows):
+    """traceio reading and writing ``rows`` lines at a time."""
+    return mock.patch.object(traceio, "CHUNK_ROWS", rows)
+
+
+SMALL_CHUNKS = pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+
+
+@SMALL_CHUNKS
+@CONTRACT
+@given(columns())
+def test_write_then_read_is_the_identity_in_small_chunks(chunk_rows, cols):
+    samples = TraceSamples(*cols)
+    with chunked(chunk_rows):
+        text = trace_to_string(TraceFile(samples=samples))
+        sink = io.StringIO()
+        write_trace(TraceFile(samples=samples), sink)
+        again = read_trace(io.StringIO(text)).samples
+    assert text == sink.getvalue() == reference_csv(samples)
+    assert column_bytes(again) == column_bytes(samples)
+
+
+@SMALL_CHUNKS
+@CONTRACT
+@given(malformed_traces())
+def test_bulk_parse_agrees_with_line_by_line_in_small_chunks(chunk_rows, case):
+    text, columns = case
+    with chunked(chunk_rows):
+        assert outcome(read_trace, text, columns) == outcome(reference_read, text, columns)
+
+
+@pytest.mark.parametrize(
+    "rows, error",
+    [
+        (["2.0,5.0"], (TraceParseError, "line 4, column 3: expected 3 fields, got 2", 4, 3)),
+        (["2.0,x,9.0"], (TraceParseError, "line 4, column 2: cannot parse competition_pct from 'x'", 4, 2)),
+        (["0.5,5.0,9.0"], (TraceValidationError, "line 4: timestamp 0.5 decreases (previous 1.0)", 4, None)),
+        # a chunk of blank lines carries the last timestamp on to the next one
+        (["", " ", "0.5,5.0,9.0"], (TraceValidationError, "line 6: timestamp 0.5 decreases (previous 1.0)", 6, None)),
+        (["", "\t", "2.0,5.0"], (TraceParseError, "line 6, column 3: expected 3 fields, got 2", 6, 3)),
+    ],
+    ids=["field_count", "parse", "order", "order_after_blank_chunk", "count_after_blank_chunk"],
+)
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_errors_on_the_first_line_of_a_chunk(rows, error, newline):
+    text = newline.join([HEADER, "0.0,5.0,9.0", "1.0,5.0,9.0", *rows]) + newline
+    with chunked(2):
+        assert outcome(read_trace, text, None) == outcome(reference_read, text, None) == error
+
+
+@SMALL_CHUNKS
+@pytest.mark.parametrize("body", ["", "\n", "\r\n \r\n", "\n\n\n\n"], ids=["none", "lf", "crlf", "lf4"])
+def test_header_only_files_read_as_empty_in_any_chunking(chunk_rows, body):
+    with chunked(chunk_rows):
+        assert len(read_trace(io.StringIO(HEADER + body)).samples) == 0
+        assert trace_to_string(TraceFile(samples=[])) == HEADER + "\n"
+
+
+@SMALL_CHUNKS
+def test_blank_lines_and_crlf_at_chunk_boundaries_read_like_one_chunk(chunk_rows):
+    rows = ["0.0,5.0,9.0", "", "1.0,5.0,9.5", " ", "\t", "2.0,7.0,9.0", "", "3.0,7.0,9.25", ""]
+    text = "\r\n".join([HEADER, *rows]) + "\r\n"
+    whole = read_trace(io.StringIO(text)).samples
+    with chunked(chunk_rows):
+        assert column_bytes(read_trace(io.StringIO(text)).samples) == column_bytes(whole)
+    assert len(whole) == 4
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_a_full_chunk_and_one_row_more_round_trip(extra):
+    """At the real CHUNK_ROWS: a body of exactly one chunk, and one row into the next."""
+    n = traceio.CHUNK_ROWS + extra
+    samples = TraceSamples(np.arange(n) * 0.5, np.full(n, 5.0), 9.0 + np.arange(n) % 7 / 3)
+    text = trace_to_string(TraceFile(samples=samples))
+    assert text == reference_csv(samples)
+    assert len(list(traceio._csv_chunks(samples))) == 2 + extra  # the header, then the rows
+    assert column_bytes(read_trace(io.StringIO(text)).samples) == column_bytes(samples)
+    # the last row goes back in time: it is the first row of the second chunk when extra is 1
+    lines = text.splitlines()
+    lines[-1] = "0.25" + lines[-1][lines[-1].index(","):]
+    bad = "\n".join(lines) + "\n"
+    previous = repr((n - 2) * 0.5)
+    message = f"line {n + 1}: timestamp 0.25 decreases (previous {previous})"
+    assert outcome(read_trace, bad, None) == (TraceValidationError, message, n + 1, None)
 
 
 def simulated_text():

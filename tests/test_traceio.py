@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import pytest
 
@@ -158,3 +159,44 @@ class TestWrite:
         ]
         again = read_text(trace_to_string(TraceFile(samples=samples)))
         assert again.samples == samples
+
+
+@pytest.fixture(scope="module")
+def campaign_trace(tmp_path_factory):
+    """A campaign-sized trace: the default protocol over 80 cycles, 115,200 samples."""
+    config = ProtocolConfig(baseline_load_q=5.0, noise_sigma=0.3, seed=1, cycles=80)
+    trace = generate_trace(config, LinearProfile(9.75, 0.055))
+    path = tmp_path_factory.mktemp("campaign") / "trace.csv"
+    write_trace(trace, path)
+    return trace, path
+
+
+def peak_columns(call, n):
+    """tracemalloc's peak during call(), in columns of n floats (8 * n bytes)."""
+    call()  # a first call may allocate caches
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / (8 * n)
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    """Peaks on a 115,200-sample trace.  Parsing the whole body at once peaked at
+    50 columns of N floats, and building the whole text before writing it at 23."""
+
+    def test_read_holds_under_8_columns(self, campaign_trace):
+        trace, path = campaign_trace
+        assert len(trace.samples) == 115200
+        assert peak_columns(lambda: read_trace(path), len(trace.samples)) < 8
+
+    def test_to_string_holds_under_14_columns(self, campaign_trace):
+        trace, _ = campaign_trace
+        assert peak_columns(lambda: trace_to_string(trace), len(trace.samples)) < 14
+
+    def test_write_holds_under_4_columns(self, campaign_trace, tmp_path):
+        trace, path = campaign_trace
+        out = tmp_path / "again.csv"
+        assert peak_columns(lambda: write_trace(trace, out), len(trace.samples)) < 4
+        assert out.read_bytes() == path.read_bytes() == trace_to_string(trace).encode()
